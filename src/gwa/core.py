@@ -210,7 +210,7 @@ class GwaElement:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((id(self.pres), frozenset(self.terms.items())))
+            self._hash = hash((self.pres, frozenset(self.terms.items())))
         return self._hash
 
     def scale(self, c) -> "GwaElement":

@@ -285,7 +285,7 @@ class FieldSpec:
         if self.kind == CYC_KIND:
             return {"field": "cyclotomic", "n": self.n}
         if self.kind == QQ_KIND:
-            return {"field": "Q(q)"}
+            return {"field": "Q(q)", "generator": self.gen_name}
         return {"field": "Q"}
 
     @staticmethod

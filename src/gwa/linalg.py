@@ -1,8 +1,9 @@
-"""Exact dense linear algebra over a coefficient field.
+"""Exact linear algebra over a coefficient field.
 
-Matrices are lists of rows of FieldElement.  Everything here is plain
-Gaussian elimination with exact division; no pivoting strategy is needed
-because the arithmetic is exact.
+Matrices are lists of rows of FieldElement, and the matrix routines are plain
+dense Gaussian elimination with exact division; no pivoting strategy is
+needed because the arithmetic is exact.  RowSpace, the incremental span used
+for wide, mostly-zero vectors, keeps its reduced rows sparse instead.
 """
 
 from __future__ import annotations
@@ -24,20 +25,13 @@ def identity(spec: FieldSpec, n: int):
     return m
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a, c: FieldElement):
-    return [[c * x for x in row] for row in a]
-
-
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
+    zero = a[0][0].spec.zero()
     out = []
     for i in range(n):
         row_a = a[i]
@@ -50,13 +44,9 @@ def mat_mul(a, b):
                     continue
                 term = x * b[t][j]
                 acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else x_zero(a))
+            row.append(acc if acc is not None else zero)
         out.append(row)
     return out
-
-
-def x_zero(a):
-    return a[0][0].spec.zero()
 
 
 def mat_vec(a, v):
@@ -173,49 +163,82 @@ def inverse(a, spec: FieldSpec):
 
 
 class RowSpace:
-    """Incrementally built row space with membership testing."""
+    """Incrementally built row space with membership testing.
+
+    The basis is kept in reduced row echelon form, one sparse row
+    {column: FieldElement} per pivot column, with a one at its pivot and zeros
+    (absent keys) at every other pivot.  Vectors may be given dense, as lists
+    of `width` scalars, or sparse, as {column: scalar} dicts.
+    """
 
     def __init__(self, spec: FieldSpec, width: int):
         self.spec = spec
         self.width = width
-        self.rows = []          # rref rows
-        self.pivots = []
+        self.by_pivot = {}      # pivot column -> sparse reduced row
 
-    def _reduce(self, v):
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if not v[p].is_zero():
-                f = v[p]
-                for j in range(self.width):
-                    v[j] = v[j] - f * row[j]
+    def _reduce(self, v) -> dict:
+        if isinstance(v, dict):
+            v = {j: x for j, x in v.items() if not x.is_zero()}
+        else:
+            v = {j: x for j, x in enumerate(v) if not x.is_zero()}
+        # a reduced row is zero at every other pivot, so clearing one pivot
+        # never refills another: one pass over the pivots in the support does
+        for p in [j for j in v if j in self.by_pivot]:
+            _sub_multiple(v, v[p], self.by_pivot[p])
         return v
 
     def add(self, v) -> bool:
         """Insert the vector; returns True when it enlarged the space."""
         v = self._reduce(v)
-        pivot = next((j for j in range(self.width) if not v[j].is_zero()), None)
-        if pivot is None:
+        if not v:
             return False
+        pivot = min(v)
         inv = v[pivot].inv()
-        v = [x * inv for x in v]
-        for row in self.rows:
-            if not row[pivot].is_zero():
-                f = row[pivot]
-                for j in range(self.width):
-                    row[j] = row[j] - f * v[j]
-        self.rows.append(v)
-        self.pivots.append(pivot)
-        order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
+        v = {j: x * inv for j, x in v.items()}
+        for row in self.by_pivot.values():
+            f = row.get(pivot)
+            if f is not None:
+                _sub_multiple(row, f, v)
+        self.by_pivot[pivot] = v
         return True
 
     def contains(self, v) -> bool:
-        return all(x.is_zero() for x in self._reduce(v))
+        return not self._reduce(v)
+
+    @property
+    def pivots(self) -> list:
+        return sorted(self.by_pivot)
+
+    @property
+    def rows(self) -> list:
+        """The reduced rows as dense lists, in pivot order."""
+        zero = self.spec.zero()
+        out = []
+        for p in self.pivots:
+            row = [zero] * self.width
+            for j, x in self.by_pivot[p].items():
+                row[j] = x
+            out.append(row)
+        return out
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.by_pivot)
 
     def equals(self, other: "RowSpace") -> bool:
-        return self.dim == other.dim and all(other.contains(r) for r in self.rows)
+        return self.dim == other.dim and all(other.contains(r) for r in self.by_pivot.values())
+
+
+def _sub_multiple(v: dict, f: FieldElement, row: dict) -> None:
+    """v -= f * row in place, dropping entries that cancel."""
+    f = -f
+    for j, y in row.items():
+        x = v.get(j)
+        if x is None:
+            v[j] = f * y
+        else:
+            x = x + f * y
+            if x.is_zero():
+                del v[j]
+            else:
+                v[j] = x

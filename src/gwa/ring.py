@@ -316,10 +316,13 @@ def ring_arith(op: str, a: RingElement, b) -> RingElement:
 # ---------------------------------------------------------------------------
 
 
+APPLY_CACHE_SIZE = 256     # images kept per automorphism, oldest evicted first
+
+
 class Automorphism:
     """Substitution automorphism of a BaseRing with a stored inverse."""
 
-    __slots__ = ("ring", "images", "inverse_images", "_apply_cache")
+    __slots__ = ("ring", "images", "inverse_images", "_apply_cache", "_inverse")
 
     def __init__(self, ring: BaseRing, images: dict, inverse_images: dict | None = None):
         self.ring = ring
@@ -334,6 +337,7 @@ class Automorphism:
             inverse_images = self._solve_inverse()
         self.inverse_images = inverse_images
         self._apply_cache = {}
+        self._inverse = None
         self._verify_inverse()
 
     def _solve_inverse(self) -> dict:
@@ -371,20 +375,27 @@ class Automorphism:
                 raise NonInvertibleMap(f"inverse images do not round-trip {g!r}")
 
     def apply(self, r: RingElement) -> RingElement:
-        key = r
-        hit = self._apply_cache.get(key)
+        cache = self._apply_cache
+        hit = cache.get(r)
         if hit is None:
             hit = r.substitute(self.images)
-            if len(self._apply_cache) < 4096:
-                self._apply_cache[key] = hit
+            if len(cache) >= APPLY_CACHE_SIZE:
+                # bounded memory that follows the current working set
+                del cache[next(iter(cache))]
+            cache[r] = hit
         return hit
 
     def inverse(self) -> "Automorphism":
-        inv = Automorphism.__new__(Automorphism)
-        inv.ring = self.ring
-        inv.images = self.inverse_images
-        inv.inverse_images = self.images
-        inv._apply_cache = {}
+        """The inverse, built once and linked back, so both keep their apply caches."""
+        inv = self._inverse
+        if inv is None:
+            inv = Automorphism.__new__(Automorphism)
+            inv.ring = self.ring
+            inv.images = self.inverse_images
+            inv.inverse_images = self.images
+            inv._apply_cache = {}
+            inv._inverse = self
+            self._inverse = inv
         return inv
 
     def apply_power(self, k: int, r: RingElement) -> RingElement:

@@ -357,8 +357,10 @@ def algebra_basis(pres, degree: int):
     return out
 
 
-def _element_vector(a: GwaElement, index, field):
-    vec = [field.zero()] * len(index)
+def _element_vector(a: GwaElement, index) -> dict | None:
+    """The sparse coordinates {column: scalar} of a, or None when a has a
+    term outside the index."""
+    vec = {}
     for alpha, coeff in a.terms.items():
         for exps, c in coeff.terms.items():
             j = index.get((alpha, exps))
@@ -445,14 +447,14 @@ def _truncated_left_span(pres, gens, index, degree, slack):
             prod = gwa_mul(b, g)
             if prod.is_zero():
                 continue
-            vec = _element_vector(prod, columns, field)
+            vec = _element_vector(prod, columns)
             if vec is not None:
                 space.add(vec)
 
     out = RowSpace(field, len(index))
-    for row, pivot in zip(space.rows, space.pivots):
+    for pivot in space.pivots:
         if pivot >= offset:
-            out.add(row[offset:])
+            out.add({j - offset: x for j, x in space.by_pivot[pivot].items()})
     return out
 
 
@@ -698,7 +700,6 @@ def is_simple(V: WhittakerModule, seed: int = 0, random_trials: int = 20) -> Sim
     algebra = RowSpace(field, d * d)
     frontier = [identity(field, d)]
     algebra.add([x for row in frontier[0] for x in row])
-    seen = [identity(field, d)]
     while frontier and algebra.dim < d * d:
         new = []
         for m in frontier:
@@ -707,15 +708,15 @@ def is_simple(V: WhittakerModule, seed: int = 0, random_trials: int = 20) -> Sim
                 flat = [x for row in prod for x in row]
                 if algebra.add(flat):
                     new.append(prod)
-                    seen.append(prod)
         frontier = new
     if algebra.dim == d * d:
         return SimplicityVerdict("simple", "burnside")
 
     candidates = []
     for g in gens:
-        diag = {g[i][i] for i in range(d)}
-        for mu in diag:
+        # first-occurrence order: a set's order follows hashes that differ
+        # between processes, and would make the reported submodule vary
+        for mu in dict.fromkeys(g[i][i] for i in range(d)):
             shifted = mat_sub(g, _scaled_identity(field, d, mu))
             candidates.extend(kernel_basis(shifted, field))
     import random as _random
@@ -740,7 +741,7 @@ def is_simple(V: WhittakerModule, seed: int = 0, random_trials: int = 20) -> Sim
                         new.append(img)
             frontier = new
         if 0 < space.dim < d:
-            return SimplicityVerdict("not_simple", None, [list(r) for r in space.rows])
+            return SimplicityVerdict("not_simple", None, space.rows)
     return SimplicityVerdict("inconclusive", "no Burnside certificate; submodule search exhausted")
 
 

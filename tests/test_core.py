@@ -114,6 +114,14 @@ def test_free_basis_subtraction():
     assert (b - a) == pres.one()
 
 
+def test_hash_agrees_with_equality():
+    # two separately built presentations of the same algebra
+    X, X2 = weyl1().X(0), weyl1().X(0)
+    assert X == X2
+    assert hash(X) == hash(X2)
+    assert len({X, X2}) == 1
+
+
 def test_weyl_center_trivial():
     pres = weyl1()
     report = center_generators(pres, 6)

@@ -166,7 +166,7 @@ def test_scalar_formatting():
 
 
 def test_spec_json_round_trip():
-    for spec in ALL_SPECS:
+    for spec in ALL_SPECS + [rational_functions("t")]:
         assert FieldSpec.from_json(spec.to_json()) == spec
 
 

@@ -144,6 +144,17 @@ def test_inverse_round_trip():
         assert inv.apply(phi.images[g]) == R.gen(g)
 
 
+def test_inverse_is_cached_and_linked():
+    R = BaseRing(Q, ["h", "c"])
+    phi = shift_auto(R, "h", -R.one())
+    inv = phi.inverse()
+    assert phi.inverse() is inv
+    assert inv.inverse() is phi
+    h = R.gen("h")
+    assert inv.apply(phi.apply(h * h)) == h * h
+    assert phi.apply_power(-2, h) == inv.apply(inv.apply(h))
+
+
 def test_auto_power_composition_law():
     rng = random.Random(5)
     F7 = prime_field(7)
