@@ -18,6 +18,7 @@ from .core import (
 )
 from .errors import (
     HypothesisViolated,
+    InternalConsistencyError,
     InvalidParameters,
     TelescopingUnsolvable,
     UnsupportedFamily,
@@ -157,7 +158,7 @@ def solve_telescoping(field: FieldSpec, s_coeffs) -> list:
 
     n_unknown = d + 1
     rows = [[field.zero()] * n_unknown for _ in range(d + 1)]
-    rhs = [c * field.from_int(2) for c in s_coeffs] + [field.zero()] * 0
+    rhs = [c * field.from_int(2) for c in s_coeffs]
     for j in range(1, d + 2):
         for i in range(j):
             rows[i][j - 1] = rows[i][j - 1] + field.from_int(comb(j, i))
@@ -204,13 +205,16 @@ def _verify_smith_facts(pres: GwaPresentation):
     s, r = pres.meta["s"], pres.meta["r"]
     half = field.from_int(2).inv()
     lhs = (eval_poly(r, h + R.one()) - eval_poly(r, h)) * half
-    assert lhs == eval_poly(s, h), "telescoping identity failed"
+    if lhs != eval_poly(s, h):
+        raise InternalConsistencyError("telescoping identity failed")
     # c = 2 Y X + r(h+1) inside the algebra, and c is central
     c_elt = pres.embed_ring(R.gen("c"))
     two_yx = gwa_mul(pres.Y(), pres.X()).scale(field.from_int(2))
     casimir = two_yx + pres.embed_ring(eval_poly(r, h + R.one()))
-    assert casimir == c_elt, "Casimir identity failed"
-    assert is_central(pres, c_elt), "Casimir is not central"
+    if casimir != c_elt:
+        raise InternalConsistencyError("Casimir identity failed")
+    if not is_central(pres, c_elt):
+        raise InternalConsistencyError("Casimir is not central")
 
 
 def _quantum_smith(spec: FamilySpec, m: int, q: FieldElement) -> GwaPresentation:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (
     GwaError,
+    InternalConsistencyError,
     InvalidParameters,
     NonCommutingAutomorphisms,
     NotPresentable,
@@ -130,13 +131,6 @@ class GwaPresentation:
             except UnsupportedFamily:
                 self._fixed_subring = None
         return self._fixed_subring
-
-    def set_fixed_subring(self, gens):
-        for g in gens:
-            for phi in self.phis:
-                if phi.apply(g) != g:
-                    raise InvalidParameters(f"{g!r} is not fixed by every automorphism")
-        self._fixed_subring = list(gens)
 
     def phi_alpha(self, alpha, r: RingElement) -> RingElement:
         """Apply prod_i phi_i^{alpha_i} to a ring element."""
@@ -444,7 +438,8 @@ def center_generators(pres: GwaPresentation, exponent_bound: int) -> CenterRepor
         fixed = []
     for r in fixed:
         for phi in pres.phis:
-            assert phi.apply(r) == r
+            if phi.apply(r) != r:
+                raise InternalConsistencyError(f"{r!r} is not fixed by every automorphism")
         gens.append(pres.embed_ring(r))
 
     moved = [set(phi.moved_generators()) for phi in pres.phis]

@@ -37,10 +37,6 @@ class UnsupportedFamily(GwaError):
     pass
 
 
-class UnsupportedAutomorphismShape(GwaError):
-    pass
-
-
 class PresentationMismatch(GwaError):
     pass
 

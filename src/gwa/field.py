@@ -12,7 +12,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import DivisionByZero, FieldMismatch, NoSuchRoot, ZeroElement, InvalidParameters
+from .errors import (
+    DivisionByZero,
+    FieldMismatch,
+    InternalConsistencyError,
+    InvalidParameters,
+    NoSuchRoot,
+    ZeroElement,
+)
 
 Q_KIND = "Q"
 FP_KIND = "Fp"
@@ -130,7 +137,8 @@ def cyclotomic_polynomial(n: int):
     for d in range(1, n):
         if n % d == 0:
             q, r = _pdivmod(poly, cyclotomic_polynomial(d))
-            assert not r
+            if r:
+                raise InternalConsistencyError(f"Phi_{d} does not divide x^{n} - 1")
             poly = q
     return poly
 
@@ -205,7 +213,9 @@ class FieldSpec:
                 == (other.kind, other.p, other.n, other.gen_name))
 
     def __hash__(self):
-        return hash((self.kind, self.p, self.n, self.gen_name))
+        # hash(None) is the object's address before Python 3.12, so absent
+        # fields hash as 0 and "" to keep hashes equal across processes
+        return hash((self.kind, self.p or 0, self.n or 0, self.gen_name or ""))
 
     def __repr__(self):
         if self.kind == FP_KIND:
@@ -403,7 +413,8 @@ class FieldElement:
             return FieldElement(self.spec, pow(self.payload, self.spec.p - 2, self.spec.p))
         if k == CYC_KIND:
             g, s, _ = _pxgcd(_ptrim(self.payload), self.spec._modulus)
-            assert g == (_ONE,), "cyclotomic modulus is irreducible over Q"
+            if g != (_ONE,):
+                raise InternalConsistencyError("cyclotomic modulus is irreducible over Q")
             deg = self.spec._degree
             return FieldElement(self.spec, tuple(s) + (_ZERO,) * (deg - len(s)))
         n, d = self.payload

@@ -2,15 +2,20 @@
 
 Polynomial rings of any number of variables are handled by a small Buchberger
 implementation (degrevlex, with cofactor tracking so every membership answer
-carries a certificate).  Laurent rings are treated through their polynomial
-part: exponents are shifted to be nonnegative and membership saturates by the
-Laurent generators up to an explicit degree bound, which is sound and covers
-the principal-plus-binomial ideals arising here.
+carries a certificate).  It skips S-pairs by Buchberger's product and chain
+criteria.  A `PhiStableIdeal` stores its reduced basis, and membership
+reduces against that basis directly, so a query runs no Groebner computation.
+Laurent rings are treated through their polynomial part: exponents are
+shifted to be nonnegative and membership saturates by the Laurent generators
+up to an explicit degree bound, which is sound and covers the
+principal-plus-binomial ideals arising here.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field as dc_field
+from operator import add, le, sub
 
 from .errors import (
     ClosureBudgetExceeded,
@@ -28,12 +33,13 @@ from .ring import Automorphism, BaseRing, RingElement, affine_shape, fixed_subri
 # monomial order and division
 
 
-def _deg(exps) -> int:
-    return sum(exps)
-
-
 def _degrevlex_key(exps):
-    return (_deg(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _heap_key(exps):
+    # the elementwise negation of _degrevlex_key: heapq pops the largest monomial first
+    return (-sum(exps), exps[::-1])
 
 
 def _leading(r: RingElement):
@@ -41,43 +47,72 @@ def _leading(r: RingElement):
     return exps, r.terms[exps]
 
 
-def _mono_divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def _mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+class _Divisors(list):
+    """Divisors prepared once for repeated division: each entry is
+    (leading monomial, inverse of the leading coefficient, terms)."""
+
+
+def _prepared(g: RingElement):
+    exps, c = _leading(g)
+    return exps, (c if c.is_one() else c.inv()), g.terms
+
+
+def _divisors(basis) -> _Divisors:
+    return basis if isinstance(basis, _Divisors) else _Divisors(map(_prepared, basis))
 
 
 def reduce_with_certificate(r: RingElement, basis):
     """Divide r by the basis: returns (normal_form, cofactors) with
-    r = sum_j cofactors[j]*basis[j] + normal_form."""
+    r = sum_j cofactors[j]*basis[j] + normal_form.
+
+    `basis` is a list of ring elements or a `_Divisors`.  Each step divides the
+    leading term of what is left by the first basis element whose leading
+    monomial divides it, subtracting in place on a term dict."""
+    divisors = _divisors(basis)
     ring = r.ring
-    cof = [ring.zero() for _ in basis]
-    rem = ring.zero()
-    f = r
-    while not f.is_zero():
-        exps, c = _leading(f)
-        hit = None
-        for j, g in enumerate(basis):
-            ge, gc = _leading(g)
-            if _mono_divides(ge, exps):
-                hit = (j, ge, gc)
+    f = dict(r.terms)
+    heap = [(_heap_key(e), e) for e in f]
+    heapq.heapify(heap)
+    cof = [{} for _ in divisors]
+    rem = {}
+    while heap:
+        exps = heapq.heappop(heap)[1]
+        c = f.pop(exps, None)
+        if c is None:               # cancelled after it was queued
+            continue
+        for j, (ge, ginv, gterms) in enumerate(divisors):
+            if all(map(le, ge, exps)):
                 break
-        if hit is None:
-            move = ring.monomial(exps, c)
-            rem = rem + move
-            f = f - move
         else:
-            j, ge, gc = hit
-            q = ring.monomial(_mono_div(exps, ge), c * gc.inv())
-            cof[j] = cof[j] + q
-            f = f - q * basis[j]
-    return rem, cof
+            rem[exps] = c
+            continue
+        q = c * ginv
+        shift = _mono_div(exps, ge)
+        cof[j][shift] = q           # quotient monomials of one divisor never repeat
+        nq = -q
+        for e, gc in gterms.items():
+            if e == ge:
+                continue
+            m = tuple(map(add, shift, e))
+            old = f.get(m)
+            if old is None:
+                f[m] = nq * gc
+                heapq.heappush(heap, (_heap_key(m), m))
+            else:
+                s = old + nq * gc
+                if s.is_zero():
+                    del f[m]
+                else:
+                    f[m] = s
+    return RingElement(ring, rem), [RingElement(ring, q) for q in cof]
 
 
 def normal_form(r: RingElement, basis) -> RingElement:
@@ -94,69 +129,87 @@ def _spoly(f, g):
     return mf * f - mg * g, mf, mg
 
 
-def groebner_basis(gens):
-    """Reduced Groebner basis (degrevlex) with cofactors over the input gens.
+def _chain_criterion(i, j, lcm, divisors, pending) -> bool:
+    """Some k has LM_k | lcm(LM_i, LM_j) and neither (i, k) nor (j, k) pending."""
+    for k, (lk, _, _) in enumerate(divisors):
+        if (k != i and k != j and all(map(le, lk, lcm))
+                and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending):
+            return True
+    return False
 
-    Returns (basis, transforms): basis[i] = sum_j transforms[i][j]*gens[j].
-    """
+
+def _combine(track, cof, tracks, indices):
+    """track - sum_k cof[k] * tracks[indices[k]] over the nonzero cofactors."""
+    for q, k in zip(cof, indices):
+        if not q.is_zero():
+            track = [a - q * b for a, b in zip(track, tracks[k])]
+    return track
+
+
+def groebner_basis(gens, track: bool = True):
+    """Reduced Groebner basis (degrevlex) of the input polynomials, monic and
+    sorted by leading monomial.
+
+    Returns (basis, transforms): basis[i] = sum_j transforms[i][j]*gens[j] over
+    the nonzero gens.  transforms is None when track is false.  Pairs pop LIFO;
+    Buchberger's product and chain criteria skip pairs whose S-polynomial
+    provably reduces to zero (Cox-Little-O'Shea, Ideals, Varieties, and
+    Algorithms, 2.10)."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        return [], []
+        return [], ([] if track else None)
     ring = gens[0].ring
-    basis = []
-    tracks = []
-    for j, g in enumerate(gens):
-        track = [ring.zero()] * len(gens)
-        track[j] = ring.one()
-        basis.append(g)
-        tracks.append(track)
+    basis = list(gens)
+    divisors = _divisors(basis)
+    tracks = None
+    if track:
+        zero, one = ring.zero(), ring.one()
+        tracks = [[one if k == j else zero for k in range(len(gens))] for j in range(len(gens))]
 
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    pending = set(pairs)
     while pairs:
-        i, j = pairs.pop()
+        pair = pairs.pop()
+        pending.discard(pair)
+        i, j = pair
+        li, lj = divisors[i][0], divisors[j][0]
+        if not any(a and b for a, b in zip(li, lj)):      # product criterion
+            continue
+        if _chain_criterion(i, j, _mono_lcm(li, lj), divisors, pending):
+            continue
         s, mf, mg = _spoly(basis[i], basis[j])
-        rem, cof = reduce_with_certificate(s, basis)
+        rem, cof = reduce_with_certificate(s, divisors)
         if rem.is_zero():
             continue
-        track = [mf * a - mg * b for a, b in zip(tracks[i], tracks[j])]
-        for k, q in enumerate(cof):
-            if not q.is_zero():
-                track = [a - q * b for a, b in zip(track, tracks[k])]
-        pairs.extend((k, len(basis)) for k in range(len(basis)))
+        if track:
+            new = [mf * a - mg * b for a, b in zip(tracks[i], tracks[j])]
+            tracks.append(_combine(new, cof, tracks, range(len(cof))))
+        n = len(basis)
+        new_pairs = [(k, n) for k in range(n)]
+        pairs.extend(new_pairs)
+        pending.update(new_pairs)
         basis.append(rem)
-        tracks.append(track)
+        divisors.append(_prepared(rem))
 
-    # interreduce to the canonical reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1:]
-            other_tracks = tracks[:i] + tracks[i + 1:]
-            if not others:
-                continue
-            rem, cof = reduce_with_certificate(basis[i], others)
-            if rem != basis[i]:
-                changed = True
-                if rem.is_zero():
-                    del basis[i]
-                    del tracks[i]
-                else:
-                    track = list(tracks[i])
-                    for k, q in enumerate(cof):
-                        if not q.is_zero():
-                            track = [a - q * b for a, b in zip(track, other_tracks[k])]
-                    basis[i] = rem
-                    tracks[i] = track
-                break
-    # monic normalization, sorted for determinism
-    order = sorted(range(len(basis)), key=lambda k: _degrevlex_key(_leading(basis[k])[0]))
-    out_basis, out_tracks = [], []
-    for k in order:
-        _, lc = _leading(basis[k])
-        inv = lc.inv()
-        out_basis.append(basis[k] * inv)
-        out_tracks.append([t * inv for t in tracks[k]])
+    # minimal basis: drop every element whose leading monomial another one's
+    # divides (of equal leading monomials the first stays), then reduce tails
+    leads = [d[0] for d in divisors]
+    keep = [i for i, li in enumerate(leads)
+            if not any(k != i and all(map(le, lk, li)) and (k < i or lk != li)
+                       for k, lk in enumerate(leads))]
+    for i in keep:
+        others = [k for k in keep if k != i]
+        rem, cof = reduce_with_certificate(basis[i], _Divisors(divisors[k] for k in others))
+        if rem != basis[i]:
+            if track:
+                tracks[i] = _combine(tracks[i], cof, tracks, others)
+            basis[i] = rem
+            divisors[i] = divisors[i][:2] + (rem.terms,)
+
+    order = sorted(keep, key=lambda k: _degrevlex_key(leads[k]))
+    out_basis = [basis[k] * divisors[k][1] for k in order]
+    out_tracks = [[t * divisors[k][1] for t in tracks[k]] for k in order] if track else None
     return out_basis, out_tracks
 
 
@@ -169,20 +222,13 @@ def _laurent_names(ring: BaseRing):
 
 
 def _clear_laurent(r: RingElement):
-    """Shift exponents to be nonnegative: returns (r_poly, shifts dict name->m)."""
+    """Shift exponents to be nonnegative: returns (r * u, u) for the Laurent
+    monomial u of least degree that does it."""
     ring = r.ring
-    shifts = {}
-    out = r
-    for name in _laurent_names(ring):
-        m = -min(0, out.min_degree_in(name))
-        if m:
-            out = out * ring.gen(name, m)
-        shifts[name] = m
-    return out, shifts
-
-
-def _is_polynomial(r: RingElement) -> bool:
-    return all(e >= 0 for exps in r.terms for e in exps)
+    shift = tuple(max(0, -min((exps[i] for exps in r.terms), default=0)) if l else 0
+                  for i, l in enumerate(ring.laurent))
+    unit = ring.monomial(shift, ring.field.one())
+    return (r * unit if any(shift) else r), unit
 
 
 def _laurent_spread(gens, ring) -> int:
@@ -213,14 +259,16 @@ class PhiStableIdeal:
 
     `generators` is the canonical reduced Groebner basis of the polynomial
     part (for Laurent rings: of the exponent-shifted generators), monic and
-    deterministic.  The stability certificate maps (i, j) to the membership
-    expression of phi_i(g_j)."""
+    deterministic.  Membership reduces against it directly, with no further
+    Groebner computation.  The stability certificate maps (i, j) to the
+    membership expression of phi_i(g_j)."""
 
     def __init__(self, ring: BaseRing, phis, generators, stability_certificate=None):
         self.ring = ring
         self.phis = list(phis)
         self.generators = list(generators)
         self.stability_certificate = stability_certificate or {}
+        self._divisors = _divisors(self.generators)
 
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.generators) or "0"
@@ -239,21 +287,88 @@ class PhiStableIdeal:
     def __eq__(self, other):
         if not isinstance(other, PhiStableIdeal) or other.ring != self.ring:
             return NotImplemented
-        return ideal_equal_gens(self.ring, self.generators, other.generators)
+        return _equal_bases(self.ring, self.generators, other.generators)
 
     # equality is extensional (two-way membership), so these objects are unhashable
     __hash__ = None
 
 
+def _cleared_basis(gens, track: bool):
+    """Groebner basis of the exponent-shifted nonzero gens."""
+    return groebner_basis([_clear_laurent(g)[0] for g in gens if not g.is_zero()], track)
+
+
 def _canonical_generators(ring: BaseRing, gens):
-    polys = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        gp, _ = _clear_laurent(g)
-        polys.append(gp)
-    basis, _ = groebner_basis(polys)
-    return basis
+    return _cleared_basis(gens, track=False)[0]
+
+
+def _membership(r: RingElement, ring: BaseRing, gens, basis, transforms) -> MembershipResult:
+    """Membership of r in the ideal generated by the nonzero `gens`, given the
+    Groebner basis of their exponent-shifted forms (a list or a `_Divisors`).
+
+    transforms[i][j] is the coefficient of the shifted gens[j] in basis[i];
+    None means gens is the reduced basis itself.  In Laurent rings r is
+    multiplied by the Laurent generators up to a degree bound before it is
+    declared a non-member."""
+    if r.is_zero():
+        return MembershipResult(True, [], None)
+    if not gens:
+        return MembershipResult(False, None, r)
+    divisors = _divisors(basis)
+    target, shift_unit = _clear_laurent(r)
+    laurents = _laurent_names(ring)
+    bound = _laurent_spread(gens, ring) + max(0, r.degree()) if laurents else 0
+    step = ring.one()
+    for name in laurents:
+        step = step * ring.gen(name)
+    sat = ring.one()
+    witness = None
+    for _ in range(bound + 1):
+        rem, cof = reduce_with_certificate(target, divisors)
+        if rem.is_zero():
+            return MembershipResult(True, _certificate(r, ring, gens, cof, transforms,
+                                                       shift_unit * sat), None)
+        if witness is None:
+            witness = rem
+        sat = sat * step
+        target = target * step
+    return MembershipResult(False, None, witness)
+
+
+def _certificate(r, ring, gens, cof, transforms, unit):
+    """Express r over the original (unshifted) gens from the cofactors of
+    unit * r over the basis, and check that the expression re-expands."""
+    unshift = unit.unit_inverse()
+    one = ring.one()
+    cert = []
+    for j, g in enumerate(gens):
+        if transforms is None:
+            total = cof[j]
+        else:
+            total = ring.zero()
+            for q, row in zip(cof, transforms):
+                if not q.is_zero():
+                    total = total + q * row[j]
+        if not total.is_zero():
+            g_unit = unshift * _clear_laurent(g)[1]
+            cert.append((total if g_unit == one else total * g_unit, g))
+    check = ring.zero()
+    for c, g in cert:
+        check = check + c * g
+    if check != r:
+        raise InternalConsistencyError("membership certificate failed to re-expand")
+    return cert
+
+
+def _contains_all(ring, elements, gens, basis, transforms) -> bool:
+    divisors = _divisors(basis)
+    return all(_membership(e, ring, gens, divisors, transforms).member for e in elements)
+
+
+def _equal_bases(ring, basis_a, basis_b) -> bool:
+    """Whether two reduced bases generate the same ideal, by two-way membership."""
+    return (_contains_all(ring, basis_a, basis_b, basis_b, None)
+            and _contains_all(ring, basis_b, basis_a, basis_a, None))
 
 
 def ideal_membership_gens(r: RingElement, ring: BaseRing, gens) -> MembershipResult:
@@ -261,62 +376,20 @@ def ideal_membership_gens(r: RingElement, ring: BaseRing, gens) -> MembershipRes
     gens = [g for g in gens if not g.is_zero()]
     if r.is_zero():
         return MembershipResult(True, [], None)
-    if not gens:
-        return MembershipResult(False, None, r)
-    basis, tracks = groebner_basis([_clear_laurent(g)[0] for g in gens])
-    if not basis:
-        return MembershipResult(False, None, r)
-
-    r_poly, shifts = _clear_laurent(r)
-    shift_unit = ring.one()
-    for name, m in shifts.items():
-        if m:
-            shift_unit = shift_unit * ring.gen(name, m)
-
-    laurents = _laurent_names(ring)
-    bound = _laurent_spread(gens, ring) + max(0, r.degree()) if laurents else 0
-    sat = ring.one()
-    for m in range(bound + 1):
-        rem, cof = reduce_with_certificate(sat * r_poly, basis)
-        if rem.is_zero():
-            # express in terms of the original (uncleared) generators
-            unshift = (shift_unit * sat).unit_inverse() or ring.one()
-            cert = []
-            for j, g in enumerate(gens):
-                g_poly, g_shifts = _clear_laurent(g)
-                g_unit = ring.one()
-                for name, k in g_shifts.items():
-                    if k:
-                        g_unit = g_unit * ring.gen(name, k)
-                total = ring.zero()
-                for b_idx, q in enumerate(cof):
-                    if not q.is_zero():
-                        total = total + q * tracks[b_idx][j]
-                if not total.is_zero():
-                    cert.append((unshift * total * g_unit, g))
-            check = ring.zero()
-            for c, g in cert:
-                check = check + c * g
-            assert check == r, "membership certificate failed to re-expand"
-            return MembershipResult(True, cert, None)
-        if not laurents:
-            break
-        sat = sat * ring.gen(laurents[0])
-        for name in laurents[1:]:
-            sat = sat * ring.gen(name)
-    rem, _ = reduce_with_certificate(r_poly, basis)
-    return MembershipResult(False, None, rem)
+    return _membership(r, ring, gens, *_cleared_basis(gens, track=True))
 
 
 def membership(r: RingElement, J: PhiStableIdeal) -> MembershipResult:
     if r.ring != J.ring:
         raise UnsupportedRing("element and ideal live in different rings")
-    return ideal_membership_gens(r, J.ring, J.generators)
+    return _membership(r, J.ring, J.generators, J._divisors, None)
 
 
 def ideal_equal_gens(ring, gens_a, gens_b) -> bool:
-    return (all(ideal_membership_gens(g, ring, gens_b).member for g in gens_a)
-            and all(ideal_membership_gens(g, ring, gens_a).member for g in gens_b))
+    a = [g for g in gens_a if not g.is_zero()]
+    b = [g for g in gens_b if not g.is_zero()]
+    return (_contains_all(ring, gens_a, b, *_cleared_basis(b, track=True))
+            and _contains_all(ring, gens_b, a, *_cleared_basis(a, track=True)))
 
 
 def is_phi_stable(phis, generators) -> bool:
@@ -324,29 +397,33 @@ def is_phi_stable(phis, generators) -> bool:
     if not generators:
         return True
     ring = generators[0].ring
-    for phi in phis:
-        for g in generators:
-            if not ideal_membership_gens(phi.apply(g), ring, generators).member:
-                return False
-    return True
+    gens = [g for g in generators if not g.is_zero()]
+    basis, transforms = _cleared_basis(gens, track=True)
+    return all(_contains_all(ring, (phi.apply(g) for g in generators), gens, basis, transforms)
+               for phi in phis)
 
 
 def phi_stable_ideal(ring: BaseRing, phis, generators) -> PhiStableIdeal:
     """Construct the ideal and certify stability (raises NotPhiStable)."""
-    basis = _canonical_generators(ring, generators)
-    cert = {}
+    return _certified(ring, phis, _canonical_generators(ring, generators))
+
+
+def _certified(ring: BaseRing, phis, basis) -> PhiStableIdeal:
+    """The ideal with this reduced basis, once its stability is certified."""
+    J = PhiStableIdeal(ring, phis, basis)
+    cert = J.stability_certificate
     for i, phi in enumerate(phis):
         for j, g in enumerate(basis):
-            res = ideal_membership_gens(phi.apply(g), ring, basis)
+            res = _membership(phi.apply(g), ring, basis, J._divisors, None)
             if not res.member:
                 raise NotPhiStable(f"phi_{i}({g!r}) escapes the ideal: {res.normal_form_witness!r}")
             cert[(i, j)] = res.certificate
             # Lemma: stability forces equality, witnessed on the inverse side too
-            res_inv = ideal_membership_gens(phi.inverse().apply(g), ring, basis)
+            res_inv = _membership(phi.inverse().apply(g), ring, basis, J._divisors, None)
             if not res_inv.member:
                 raise NotPhiStable(f"phi_{i}^-1({g!r}) escapes the ideal")
             cert[(i, -j - 1)] = res_inv.certificate
-    return PhiStableIdeal(ring, phis, basis, cert)
+    return J
 
 
 def phi_stable_closure(generators, phis, cap: int = 64) -> PhiStableIdeal:
@@ -362,8 +439,8 @@ def phi_stable_closure(generators, phis, cap: int = 64) -> PhiStableIdeal:
             extended.extend(phi.apply(g) for g in current)
             extended.extend(phi.inverse().apply(g) for g in current)
         new_basis = _canonical_generators(ring, extended)
-        if ideal_equal_gens(ring, current, new_basis):
-            return phi_stable_ideal(ring, phis, new_basis)
+        if _equal_bases(ring, current, new_basis):
+            return _certified(ring, phis, new_basis)
         current = new_basis
     raise ClosureBudgetExceeded("closure did not stabilize; this contradicts Noetherianity")
 
@@ -604,14 +681,16 @@ def _squarefree(ring, name, f):
         root = ring.zero()
         i = ring.index(name)
         for exps, c in f.terms.items():
-            assert exps[i] % p == 0
+            if exps[i] % p:
+                raise InternalConsistencyError("a polynomial with zero derivative is one in t^p")
             new = list(exps)
             new[i] //= p
             root = root + ring.monomial(tuple(new), c)
         return _squarefree(ring, name, root)
     g = _poly_gcd(ring, f, df)
     rem, cof = reduce_with_certificate(f, [g])
-    assert rem.is_zero()
+    if not rem.is_zero():
+        raise InternalConsistencyError("gcd(f, f') does not divide f")
     result = cof[0]
     if _derivative(ring, name, result).is_zero() and result.degree() > 0:
         return _squarefree(ring, name, result)

@@ -284,7 +284,8 @@ def build_module(pres: GwaPresentation, Q, zeta) -> WhittakerModule:
         raise NotAWhittakerPair("the residue of 1 vanishes")
     model = MatrixModel(pres, zeta, gen_mats, x_mats, y_mats, w, basis_reps)
     failures = verify_relations(model)
-    assert not failures, f"constructed matrices violate relations: {failures}"
+    if failures:
+        raise InternalConsistencyError(f"constructed matrices violate relations: {failures}")
     return WhittakerModule(pres, zeta, Q, model)
 
 

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -174,3 +177,17 @@ def test_pow_negative():
     q = QQ.generator()
     assert q ** -2 * q ** 2 == QQ.one()
     assert F5.from_int(2) ** -1 == F5.from_int(3)
+
+
+def test_spec_hash_is_the_same_in_every_process():
+    import gwa
+
+    code = ("from gwa.field import cyclotomic_field, prime_field, rational_functions, rationals\n"
+            "specs = [rationals(), prime_field(5), cyclotomic_field(6), rational_functions('q')]\n"
+            "print([hash(s) for s in specs], [hash(s.one()) for s in specs])")
+    src = os.path.dirname(os.path.dirname(gwa.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+    outputs = {subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=60).stdout
+               for _ in range(2)}
+    assert len(outputs) == 1

@@ -1,3 +1,6 @@
+import random
+import zlib
+
 import pytest
 
 from gwa.errors import NotPhiStable, UnsupportedFamily
@@ -18,6 +21,7 @@ from gwa.ideals import (
     _spoly,
 )
 from gwa.ring import Automorphism, BaseRing
+from util import random_ring_element
 
 Q = rationals()
 
@@ -288,3 +292,282 @@ def test_membership_checks_ring():
 
     with pytest.raises(UnsupportedRing):
         membership(other.gen("s"), J)
+
+
+# ---------------------------------------------------------------------------
+# reference Buchberger: no pair criteria, cofactors always tracked, repeated
+# interreduction; the library's earlier implementation, kept as the oracle
+
+
+def _ref_key(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _ref_leading(r):
+    exps = max(r.terms, key=_ref_key)
+    return exps, r.terms[exps]
+
+
+def _ref_reduce(r, basis):
+    ring = r.ring
+    cof = [ring.zero() for _ in basis]
+    rem = ring.zero()
+    f = r
+    while not f.is_zero():
+        exps, c = _ref_leading(f)
+        hit = None
+        for j, g in enumerate(basis):
+            ge, gc = _ref_leading(g)
+            if all(x <= y for x, y in zip(ge, exps)):
+                hit = (j, ge, gc)
+                break
+        if hit is None:
+            move = ring.monomial(exps, c)
+            rem = rem + move
+            f = f - move
+        else:
+            j, ge, gc = hit
+            q = ring.monomial(tuple(x - y for x, y in zip(exps, ge)), c * gc.inv())
+            cof[j] = cof[j] + q
+            f = f - q * basis[j]
+    return rem, cof
+
+
+def _ref_groebner(gens):
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return [], []
+    ring = gens[0].ring
+    basis, tracks = [], []
+    for j, g in enumerate(gens):
+        track = [ring.zero()] * len(gens)
+        track[j] = ring.one()
+        basis.append(g)
+        tracks.append(track)
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    while pairs:
+        i, j = pairs.pop()
+        (fe, fc), (ge, gc) = _ref_leading(basis[i]), _ref_leading(basis[j])
+        lcm = tuple(max(x, y) for x, y in zip(fe, ge))
+        mf = ring.monomial(tuple(x - y for x, y in zip(lcm, fe)), fc.inv())
+        mg = ring.monomial(tuple(x - y for x, y in zip(lcm, ge)), gc.inv())
+        rem, cof = _ref_reduce(mf * basis[i] - mg * basis[j], basis)
+        if rem.is_zero():
+            continue
+        track = [mf * a - mg * b for a, b in zip(tracks[i], tracks[j])]
+        for k, q in enumerate(cof):
+            if not q.is_zero():
+                track = [a - q * b for a, b in zip(track, tracks[k])]
+        pairs.extend((k, len(basis)) for k in range(len(basis)))
+        basis.append(rem)
+        tracks.append(track)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(basis)):
+            others = basis[:i] + basis[i + 1:]
+            other_tracks = tracks[:i] + tracks[i + 1:]
+            if not others:
+                continue
+            rem, cof = _ref_reduce(basis[i], others)
+            if rem != basis[i]:
+                changed = True
+                if rem.is_zero():
+                    del basis[i]
+                    del tracks[i]
+                else:
+                    track = list(tracks[i])
+                    for k, q in enumerate(cof):
+                        if not q.is_zero():
+                            track = [a - q * b for a, b in zip(track, other_tracks[k])]
+                    basis[i] = rem
+                    tracks[i] = track
+                break
+    order = sorted(range(len(basis)), key=lambda k: _ref_key(_ref_leading(basis[k])[0]))
+    out_basis, out_tracks = [], []
+    for k in order:
+        inv = _ref_leading(basis[k])[1].inv()
+        out_basis.append(basis[k] * inv)
+        out_tracks.append([t * inv for t in tracks[k]])
+    return out_basis, out_tracks
+
+
+def _ref_clear(r):
+    """(r * u, u) for the Laurent monomial u that makes every exponent nonnegative."""
+    ring = r.ring
+    unit = ring.one()
+    for name, laurent in zip(ring.gens, ring.laurent):
+        if laurent and min(0, r.min_degree_in(name)):
+            unit = unit * ring.gen(name, -r.min_degree_in(name))
+    return r * unit, unit
+
+
+def _ref_membership(r, ring, gens):
+    """The earlier ideal_membership_gens: a fresh basis, then bounded Laurent saturation."""
+    gens = [g for g in gens if not g.is_zero()]
+    if r.is_zero():
+        return True, [], None
+    if not gens:
+        return False, None, r
+    basis, tracks = _ref_groebner([_ref_clear(g)[0] for g in gens])
+    r_poly, shift_unit = _ref_clear(r)
+    laurents = [g for g, l in zip(ring.gens, ring.laurent) if l]
+    spread = max((g.degree_in(name) - min(0, g.min_degree_in(name))
+                  for name in laurents for g in gens), default=0)
+    bound = spread + max(0, r.degree()) if laurents else 0
+    sat = ring.one()
+    for _ in range(bound + 1):
+        rem, cof = _ref_reduce(sat * r_poly, basis)
+        if rem.is_zero():
+            unshift = (shift_unit * sat).unit_inverse()
+            cert = []
+            for j, g in enumerate(gens):
+                total = ring.zero()
+                for b, q in enumerate(cof):
+                    if not q.is_zero():
+                        total = total + q * tracks[b][j]
+                if not total.is_zero():
+                    cert.append((unshift * total * _ref_clear(g)[1], g))
+            return True, cert, None
+        for name in laurents:
+            sat = sat * ring.gen(name)
+    return False, None, _ref_reduce(r_poly, basis)[0]
+
+
+def _reexpands(transforms, gens, basis):
+    ring = basis[0].ring if basis else None
+    for b, row in zip(basis, transforms):
+        total = ring.zero()
+        for coeff, g in zip(row, [g for g in gens if not g.is_zero()]):
+            total = total + coeff * g
+        if total != b:
+            return False
+    return True
+
+
+def _groebner_cases(name, ring, count, n_gens=3, max_degree=3, n_terms=3):
+    rng = random.Random(zlib.crc32(name.encode()))
+    for _ in range(count):
+        gens = [random_ring_element(rng, ring, max_degree, n_terms)
+                for _ in range(rng.randint(1, n_gens))]
+        yield rng, [_ref_clear(g)[0] for g in gens]
+
+
+GROEBNER_RINGS = {
+    "Q[x,y]": BaseRing(Q, ["x", "y"]),
+    "Q[x,y,z]": BaseRing(Q, ["x", "y", "z"]),
+    "F5[h,c]": BaseRing(prime_field(5), ["h", "c"]),
+    "F5[x,y,z]": BaseRing(prime_field(5), ["x", "y", "z"]),
+    "Q(zeta6)[c,K]": BaseRing(cyclotomic_field(6), ["c", "K"]),
+    "Q(zeta6)[c,K^+-1]": BaseRing(cyclotomic_field(6), ["c", "K"], [False, True]),
+    "Q[x,K^+-1]": BaseRing(Q, ["x", "K"], [False, True]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROEBNER_RINGS))
+def test_groebner_matches_reference(name):
+    ring = GROEBNER_RINGS[name]
+    for _, gens in _groebner_cases(name, ring, 12):
+        basis, transforms = groebner_basis(gens)
+        ref_basis, _ = _ref_groebner(gens)
+        assert basis == ref_basis, gens
+        assert _reexpands(transforms, gens, basis), gens
+        assert groebner_basis(gens, track=False) == (basis, None)
+        # a reduced basis is its own basis, with identity transforms
+        again, identity = groebner_basis(basis)
+        assert again == basis
+        assert identity == [[ring.one() if i == j else ring.zero() for j in range(len(basis))]
+                            for i in range(len(basis))]
+
+
+@pytest.mark.parametrize("name", sorted(GROEBNER_RINGS))
+def test_membership_matches_reference(name):
+    ring = GROEBNER_RINGS[name]
+    for rng, gens in _groebner_cases(name + " membership", ring, 6, n_gens=2):
+        probes = [random_ring_element(rng, ring, 3, 3)]
+        combo = ring.zero()
+        for g in gens:
+            combo = combo + random_ring_element(rng, ring, 2, 2) * g
+        probes.append(combo)
+        laurents = [n for n, l in zip(ring.gens, ring.laurent) if l]
+        if laurents:
+            probes.append(combo * ring.gen(laurents[0], -rng.randint(1, 2)))
+        for r in probes:
+            res = ideal_membership_gens(r, ring, gens)
+            member, _, witness = _ref_membership(r, ring, gens)
+            assert res.member == member, (r, gens)
+            if member:
+                total = ring.zero()
+                for c, g in res.certificate:
+                    total = total + c * g
+                assert total == r
+            else:
+                assert res.normal_form_witness == witness
+
+
+def _laurent_quantum_smith():
+    F = cyclotomic_field(6)
+    q = F.generator()
+    R = BaseRing(F, ["c", "K"], [False, True])
+    phi = Automorphism(R, {"c": R.gen("c"), "K": R.gen("K") * (q ** -2)})
+    return R, [phi]
+
+
+def _closure_cases():
+    F5 = prime_field(5)
+    Rs = BaseRing(F5, ["h", "c"])
+    smith = Automorphism(Rs, {"h": Rs.gen("h") - Rs.one(), "c": Rs.gen("c")})
+    Rh = BaseRing(Q, ["c", "t"])
+    heis = Automorphism(Rh, {"c": Rh.gen("c"), "t": Rh.gen("t") - Rh.gen("c")})
+    Rq, qphis = _laurent_quantum_smith()
+    return {
+        "smith F5": (Rs, [smith], lambda R, rng: [R.gen("c") - R.from_int(rng.randint(1, 4)),
+                                                  R.gen("h") ** 5 - R.gen("h") - R.from_int(2)]),
+        "heisenberg Q": (Rh, [heis], lambda R, rng: [R.gen("c") ** 2,
+                                                     R.gen("c") * (R.gen("t") - R.from_int(rng.randint(1, 3)))]),
+        "quantum smith Q(zeta6)": (Rq, qphis, lambda R, rng: [R.gen("c") - R.one(),
+                                                             R.gen("K", 3) - R.from_int(rng.randint(2, 3))]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_closure_cases()))
+def test_ideal_certificates_match_reference(name):
+    ring, phis, targets = _closure_cases()[name]
+    rng = random.Random(zlib.crc32(name.encode()))
+    for _ in range(3):
+        u1, u2 = targets(ring, rng)
+        seeds = [u1 * random_ring_element(rng, ring, 1, 2), u2 * random_ring_element(rng, ring, 1, 2)]
+        J = phi_stable_closure([g for g in seeds if not g.is_zero()] or [u1], phis)
+        assert J.generators == _ref_groebner(J.generators)[0]
+        for (i, j), cert in J.stability_certificate.items():
+            phi = J.phis[i] if j >= 0 else J.phis[i].inverse()
+            g = J.generators[j] if j >= 0 else J.generators[-j - 1]
+            member, ref_cert, _ = _ref_membership(phi.apply(g), ring, J.generators)
+            assert member and cert == ref_cert
+        probes = [random_ring_element(rng, ring, 3, 3)]
+        probes += [random_ring_element(rng, ring, 2, 2) * g for g in J.generators]
+        for r in probes:
+            res = membership(r, J)
+            assert res == ideal_membership_gens(r, ring, J.generators)
+            member, ref_cert, witness = _ref_membership(r, ring, J.generators)
+            assert (res.member, res.certificate, res.normal_form_witness) == (member, ref_cert, witness)
+
+
+def test_groebner_matches_sympy_over_q():
+    sympy = pytest.importorskip("sympy")
+    for name in ("Q[x,y]", "Q[x,y,z]"):
+        ring = GROEBNER_RINGS[name]
+        syms = sympy.symbols(ring.gens)
+
+        def to_sympy(r):
+            return sum(sympy.Rational(c.payload.numerator, c.payload.denominator)
+                       * sympy.Mul(*[s ** e for s, e in zip(syms, exps)])
+                       for exps, c in r.terms.items())
+
+        def frozen(poly):
+            return frozenset(sympy.Poly(poly, *syms, domain="QQ").monic().as_dict().items())
+
+        for _, gens in _groebner_cases(name + " sympy", ring, 8):
+            basis, _ = groebner_basis(gens)
+            expected = sympy.groebner([to_sympy(g) for g in gens], *syms, order="grevlex")
+            assert {frozen(to_sympy(b)) for b in basis} == {frozen(e) for e in expected.exprs}

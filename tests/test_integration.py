@@ -118,3 +118,18 @@ def test_cli_truncation_env(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["proper_nonzero"] == ["t", "t^2"]
+
+
+def test_library_has_no_bare_asserts():
+    # `python -O` strips assert statements, so library checks must raise instead
+    import ast
+    import pathlib
+
+    import gwa
+
+    offenders = []
+    for path in sorted(pathlib.Path(gwa.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
