@@ -24,7 +24,6 @@ from .field import (
     FieldSpec,
     cyclotomic_field,
     element_order,
-    field_arith,
     format_scalar,
     multiplicative_order,
     prime_field,
@@ -47,11 +46,9 @@ from .ring import (
     Automorphism,
     BaseRing,
     RingElement,
-    auto_apply,
     auto_order,
     auto_power,
     fixed_subring_generators,
-    ring_arith,
 )
 from .whittaker import (
     WhittakerModule,

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .catalog import (
     FAMILY_TAGS,
@@ -427,16 +428,17 @@ def _global_options(parser, suppress: bool):
     parser.add_argument("--json", action="store_true",
                         **({"default": d} if suppress else {}),
                         help="machine-readable output")
-    parser.add_argument("--degree", type=int,
-                        **({"default": d} if suppress
-                           else {"default": int(os.environ.get("GWA_TRUNCATION", "4"))}),
-                        help="degree bound for classifications and truncations")
+    parser.add_argument("--degree", type=int, default=d,
+                        help="degree bound for classifications and truncations "
+                             "(default: $GWA_TRUNCATION, else 4)")
     parser.add_argument("--seed", type=int,
                         **({"default": d} if suppress else {"default": 0}),
                         help="seed for randomized searches")
 
 
+@lru_cache(maxsize=None)
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared."""
     ap = argparse.ArgumentParser(prog="gwa",
                                  description="exact computations in generalized Weyl algebras")
     _global_options(ap, suppress=False)
@@ -491,8 +493,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    args = build_arg_parser().parse_args(argv)
+    if args.degree is None:
+        args.degree = int(os.environ.get("GWA_TRUNCATION", "4"))
     try:
         return args.fn(args)
     except ExprSyntaxError as exc:

@@ -2,8 +2,13 @@
 
 Every element is kept in a canonical form, so equality is structural and
 arithmetic is exact.  Cyclotomic fields are residue rings Q[x]/Phi_n(x) with
-Phi_n obtained by repeated exact division of x^n - 1; rational functions are
-reduced fractions of dense Q[q] polynomials with monic denominator.
+Phi_n obtained by repeated exact division of x^n - 1.  An element of Q(zeta_n)
+is phi(n) integer numerators over one positive common denominator, with no
+common factor.  Products are integer convolutions folded back through a table
+of x^k mod Phi_n, whose entries are integers because Phi_n is monic and
+integral.  The inverse is the product of the other Galois conjugates
+x -> x^u, u a unit mod n, divided by the (rational) norm.  Rational functions
+are reduced fractions of dense Q[q] polynomials with monic denominator.
 """
 
 from __future__ import annotations
@@ -53,10 +58,6 @@ def _pneg(a):
     return tuple(-c for c in a)
 
 
-def _psub(a, b):
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a, b):
     if not a or not b:
         return ()
@@ -101,33 +102,6 @@ def _pgcd(a, b):
     return a
 
 
-def _pxgcd(a, b):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic or zero."""
-    r0, r1 = a, b
-    s0, s1 = (_ONE,), ()
-    t0, t1 = (), (_ONE,)
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        t0, t1 = t1, _psub(t0, _pmul(q, t1))
-    if r0:
-        lead = 1 / r0[-1]
-        return _pscale(r0, lead), _pscale(s0, lead), _pscale(t0, lead)
-    return (), (), ()
-
-
-def _ppow(a, k):
-    out = (_ONE,)
-    base = a
-    while k:
-        if k & 1:
-            out = _pmul(out, base)
-        base = _pmul(base, base)
-        k >>= 1
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int):
     """Phi_n over Q, by dividing x^n - 1 by Phi_d for every proper divisor d."""
@@ -141,6 +115,26 @@ def cyclotomic_polynomial(n: int):
                 raise InternalConsistencyError(f"Phi_{d} does not divide x^{n} - 1")
             poly = q
     return poly
+
+
+@lru_cache(maxsize=None)
+def _power_table(n: int):
+    """x^k mod Phi_n as integer tuples, for k < max(n, 2 phi(n) - 1).
+
+    That covers the fold of a product's high terms and, since x^n = 1 mod
+    Phi_n, the conjugates x^(i u mod n)."""
+    phi = [int(c) for c in cyclotomic_polynomial(n)]
+    d = len(phi) - 1
+    row = [1] + [0] * (d - 1)
+    table = []
+    for _ in range(max(n, 2 * d - 1)):
+        table.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            # x^d = -(phi_0 + ... + phi_{d-1} x^{d-1}) mod Phi_n
+            row = [r - top * c for r, c in zip(row, phi)]
+    return tuple(table)
 
 
 def is_prime(n: int) -> bool:
@@ -186,21 +180,22 @@ def _prime_factors(n: int):
 class FieldSpec:
     """Identifies one of the supported coefficient fields."""
 
-    __slots__ = ("kind", "p", "n", "gen_name", "_modulus", "_degree")
+    __slots__ = ("kind", "p", "n", "gen_name", "_degree", "_xpow", "_units")
 
     def __init__(self, kind, p=None, n=None, gen_name=None):
         self.kind = kind
         self.p = p
         self.n = n
         self.gen_name = gen_name
-        self._modulus = None
         self._degree = None
         if kind == FP_KIND:
             if not is_prime(p):
                 raise InvalidParameters(f"{p} is not prime")
         elif kind == CYC_KIND:
-            self._modulus = cyclotomic_polynomial(n)
-            self._degree = len(self._modulus) - 1
+            self._degree = len(cyclotomic_polynomial(n)) - 1
+            self._xpow = _power_table(n)
+            # the Galois automorphisms zeta -> zeta^u other than the identity
+            self._units = tuple(u for u in range(2, n) if gcd(u, n) == 1)
         elif kind == QQ_KIND:
             if not gen_name:
                 raise InvalidParameters("rational-function field needs a generator name")
@@ -208,7 +203,7 @@ class FieldSpec:
             raise InvalidParameters(f"unknown field kind {kind!r}")
 
     def __eq__(self, other):
-        return (isinstance(other, FieldSpec)
+        return self is other or (isinstance(other, FieldSpec)
                 and (self.kind, self.p, self.n, self.gen_name)
                 == (other.kind, other.p, other.n, other.gen_name))
 
@@ -250,8 +245,7 @@ class FieldSpec:
             val = f.numerator * pow(den, self.p - 2, self.p) % self.p
             return FieldElement(self, val)
         if self.kind == CYC_KIND:
-            payload = (f,) + (_ZERO,) * (self._degree - 1) if f else (_ZERO,) * self._degree
-            return FieldElement(self, payload)
+            return FieldElement(self, ((f.numerator,) + (0,) * (self._degree - 1), f.denominator))
         return FieldElement(self, ((f,) if f else (), (_ONE,)))
 
     def generator(self) -> "FieldElement":
@@ -260,8 +254,7 @@ class FieldSpec:
             if self._degree == 1:
                 # zeta_1 = 1, zeta_2 = -1
                 return self.from_int(1 if self.n == 1 else -1)
-            payload = (_ZERO, _ONE) + (_ZERO,) * (self._degree - 2)
-            return FieldElement(self, payload)
+            return FieldElement(self, ((0, 1) + (0,) * (self._degree - 2), 1))
         if self.kind == QQ_KIND:
             return FieldElement(self, ((_ZERO, _ONE), (_ONE,)))
         raise InvalidParameters(f"{self!r} has no distinguished generator")
@@ -345,7 +338,7 @@ class FieldElement:
         if k == Q_KIND or k == FP_KIND:
             return self.payload == 0
         if k == CYC_KIND:
-            return all(c == 0 for c in self.payload)
+            return not any(self.payload[0])
         return not self.payload[0]
 
     def is_one(self) -> bool:
@@ -357,8 +350,9 @@ class FieldElement:
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other):
-        if not isinstance(other, FieldElement) or other.spec != self.spec:
-            raise FieldMismatch(f"operands live in different fields: {self.spec!r} vs {getattr(other, 'spec', other)!r}")
+        if isinstance(other, FieldElement) and (other.spec is self.spec or other.spec == self.spec):
+            return
+        raise FieldMismatch(f"operands live in different fields: {self.spec!r} vs {getattr(other, 'spec', other)!r}")
 
     def __add__(self, other):
         self._check(other)
@@ -368,7 +362,10 @@ class FieldElement:
         if k == FP_KIND:
             return FieldElement(self.spec, (self.payload + other.payload) % self.spec.p)
         if k == CYC_KIND:
-            return FieldElement(self.spec, tuple(a + b for a, b in zip(self.payload, other.payload)))
+            (an, ad), (bn, bd) = self.payload, other.payload
+            if ad == bd:
+                return _cyc_element(self.spec, [a + b for a, b in zip(an, bn)], ad)
+            return _cyc_element(self.spec, [a * bd + b * ad for a, b in zip(an, bn)], ad * bd)
         n1, d1 = self.payload
         n2, d2 = other.payload
         return _qq_reduce(self.spec, _padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
@@ -380,7 +377,8 @@ class FieldElement:
         if k == FP_KIND:
             return FieldElement(self.spec, -self.payload % self.spec.p)
         if k == CYC_KIND:
-            return FieldElement(self.spec, tuple(-c for c in self.payload))
+            nums, den = self.payload
+            return FieldElement(self.spec, (tuple(-c for c in nums), den))
         n, d = self.payload
         return FieldElement(self.spec, (_pneg(n), d))
 
@@ -395,10 +393,8 @@ class FieldElement:
         if k == FP_KIND:
             return FieldElement(self.spec, self.payload * other.payload % self.spec.p)
         if k == CYC_KIND:
-            prod = _pmul(self.payload, other.payload)
-            _, rem = _pdivmod(prod, self.spec._modulus)
-            deg = self.spec._degree
-            return FieldElement(self.spec, tuple(rem) + (_ZERO,) * (deg - len(rem)))
+            (an, ad), (bn, bd) = self.payload, other.payload
+            return _cyc_element(self.spec, _cyc_mulmod(self.spec, an, bn), ad * bd)
         n1, d1 = self.payload
         n2, d2 = other.payload
         return _qq_reduce(self.spec, _pmul(n1, n2), _pmul(d1, d2))
@@ -412,11 +408,7 @@ class FieldElement:
         if k == FP_KIND:
             return FieldElement(self.spec, pow(self.payload, self.spec.p - 2, self.spec.p))
         if k == CYC_KIND:
-            g, s, _ = _pxgcd(_ptrim(self.payload), self.spec._modulus)
-            if g != (_ONE,):
-                raise InternalConsistencyError("cyclotomic modulus is irreducible over Q")
-            deg = self.spec._degree
-            return FieldElement(self.spec, tuple(s) + (_ZERO,) * (deg - len(s)))
+            return _cyc_inv(self.spec, *self.payload)
         n, d = self.payload
         return _qq_reduce(self.spec, d, n)
 
@@ -458,13 +450,63 @@ class FieldElement:
         if k == FP_KIND:
             return Fraction(self.payload)
         if k == CYC_KIND:
-            if any(c for c in self.payload[1:]):
+            nums, den = self.payload
+            if any(nums[1:]):
                 raise InvalidParameters(f"{self!r} is not rational")
-            return self.payload[0]
+            return Fraction(nums[0], den)
         n, d = self.payload
         if len(n) > 1 or len(d) > 1:
             raise InvalidParameters(f"{self!r} is not rational")
         return (n[0] if n else _ZERO) / d[0]
+
+
+def _cyc_element(spec, nums, den):
+    """The canonical Q(zeta_n) element nums / den, for den > 0."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    return FieldElement(spec, (tuple(nums), den))
+
+
+def _cyc_mulmod(spec, a, b) -> list:
+    """Integer numerators of a * b mod Phi_n."""
+    d = spec._degree
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    out = conv[:d]
+    xpow = spec._xpow
+    for k in range(d, 2 * d - 1):
+        c = conv[k]
+        if c:
+            for i, r in enumerate(xpow[k]):
+                out[i] += c * r
+    return out
+
+
+def _cyc_inv(spec, nums, den):
+    """1/(nums/den) = den * P / N(nums), where P is the product of the
+    conjugates of nums other than itself and N = nums * P is its norm."""
+    d, n, xpow = spec._degree, spec.n, spec._xpow
+    prod = [1] + [0] * (d - 1)
+    for u in spec._units:
+        conj = [0] * d
+        for i, a in enumerate(nums):
+            if a:
+                for k, r in enumerate(xpow[i * u % n]):
+                    conj[k] += a * r
+        prod = _cyc_mulmod(spec, prod, conj)
+    norm = _cyc_mulmod(spec, nums, prod)
+    if any(norm[1:]):
+        raise InternalConsistencyError("the norm of a cyclotomic element is rational")
+    if norm[0] < 0:
+        return _cyc_element(spec, [-den * c for c in prod], -norm[0])
+    return _cyc_element(spec, [den * c for c in prod], norm[0])
 
 
 def _qq_reduce(spec, num, den):
@@ -482,27 +524,6 @@ def _qq_reduce(spec, num, den):
 
 # ---------------------------------------------------------------------------
 # orders and roots of unity
-
-
-def field_arith(op: str, x: FieldElement, y: FieldElement | None = None):
-    """Uniform entry point over the dunder arithmetic; mainly for the CLI."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    if op == "neg":
-        return -x
-    if op == "inv":
-        return x.inv()
-    if op == "eq":
-        return x == y
-    if op == "pow":
-        return x ** int(y.as_fraction())
-    raise InvalidParameters(f"unknown field operation {op!r}")
 
 
 def multiplicative_order(x: FieldElement, bound: int):
@@ -610,7 +631,8 @@ def format_scalar(x: FieldElement) -> str:
     if kind == FP_KIND:
         return str(x.payload)
     if kind == CYC_KIND:
-        return _format_poly(_ptrim(x.payload), x.spec.gen_symbol())
+        nums, den = x.payload
+        return _format_poly(_ptrim([Fraction(c, den) for c in nums]), x.spec.gen_symbol())
     num, den = x.payload
     num_s = _format_poly(num, x.spec.gen_name)
     if den == (_ONE,):

@@ -301,18 +301,6 @@ def ring_needs_parens(r: RingElement) -> bool:
     return len(r.terms) > 1
 
 
-def ring_arith(op: str, a: RingElement, b) -> RingElement:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "pow":
-        return a ** b
-    raise InvalidParameters(f"unknown ring operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -437,12 +425,6 @@ class Automorphism:
 def identity_automorphism(ring: BaseRing) -> Automorphism:
     images = {g: ring.gen(g) for g in ring.gens}
     return Automorphism(ring, images, dict(images))
-
-
-def auto_apply(phi: Automorphism, r: RingElement) -> RingElement:
-    if phi.ring != r.ring:
-        raise RingMismatch("automorphism and element rings differ")
-    return phi.apply(r)
 
 
 def auto_power(phis, alpha) -> Automorphism:

@@ -85,7 +85,13 @@ class MatrixModel:
     """Finite-dimensional model: one matrix per generator, cyclic vector w.
 
     basis_reps[j] is a ring element r_j with basis vector v_j = r_j . w, so the
-    coordinate map doubles as the isomorphism V ~ R/Q."""
+    coordinate map doubles as the isomorphism V ~ R/Q.
+
+    The action of a ring monomial G^e = G_1^e_1 ... G_k^e_k is cached twice,
+    per exponent tuple: as a matrix, built from the cached G^(e - e_last) by
+    one product with the last nonzero slot's generator (or inverse) matrix,
+    and as the vector G^e w, built from the cached G^(e - e_first) w by one
+    matrix-vector product.  Both keep the generator order of the monomial."""
 
     def __init__(self, pres, zeta, gen_mats, x_mats, y_mats, w, basis_reps, labels=None):
         self.pres = pres
@@ -105,29 +111,52 @@ class MatrixModel:
                 if inv is None:
                     raise InvalidParameters(f"Laurent generator {name!r} acts non-invertibly")
                 self.gen_inv_mats[name] = inv
+        one = (0,) * len(pres.ring.gens)
+        self._monomial_mats = {one: identity(self.field, self.dim)}
+        self._monomial_vecs = {one: self.w}
+
+    def _step(self, exps, slot):
+        """(exps moved one step toward zero in slot, that step's matrix)."""
+        e = exps[slot]
+        name = self.pres.ring.gens[slot]
+        prev = exps[:slot] + (e - 1 if e > 0 else e + 1,) + exps[slot + 1:]
+        return prev, self.gen_mats[name] if e > 0 else self.gen_inv_mats[name]
+
+    def _monomial_matrix(self, exps):
+        m = self._monomial_mats.get(exps)
+        if m is None:
+            last = max(i for i, e in enumerate(exps) if e)
+            prev, step = self._step(exps, last)
+            m = mat_mul(self._monomial_matrix(prev), step)
+            self._monomial_mats[exps] = m
+        return m
+
+    def _monomial_vector(self, exps):
+        v = self._monomial_vecs.get(exps)
+        if v is None:
+            first = next(i for i, e in enumerate(exps) if e)
+            prev, step = self._step(exps, first)
+            v = mat_vec(step, self._monomial_vector(prev))
+            self._monomial_vecs[exps] = v
+        return v
 
     def matrix_of_ring(self, r: RingElement):
         out = zeros(self.field, self.dim, self.dim)
         for exps, c in r.terms.items():
-            m = None
-            for name, e in zip(self.pres.ring.gens, exps):
-                if e == 0:
-                    continue
-                base = self.gen_mats[name] if e > 0 else self.gen_inv_mats[name]
-                p = mat_pow(base, abs(e))
-                m = p if m is None else mat_mul(m, p)
-            if m is None:
-                m = identity(self.field, self.dim)
-            for i in range(self.dim):
-                row = out[i]
-                mrow = m[i]
-                for j in range(self.dim):
-                    if not mrow[j].is_zero():
-                        row[j] = row[j] + c * mrow[j]
+            m = self._monomial_matrix(exps)
+            for row, mrow in zip(out, m):
+                for j, x in enumerate(mrow):
+                    if not x.is_zero():
+                        row[j] = row[j] + c * x
         return out
 
     def vector_of_ring(self, r: RingElement):
-        return mat_vec(self.matrix_of_ring(r), self.w)
+        out = [self.field.zero()] * self.dim
+        for exps, c in r.terms.items():
+            for i, x in enumerate(self._monomial_vector(exps)):
+                if not x.is_zero():
+                    out[i] = out[i] + c * x
+        return out
 
     def z_matrix(self, alpha):
         m = identity(self.field, self.dim)

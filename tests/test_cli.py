@@ -1,9 +1,10 @@
 import json
+import os
 import random
 
 import pytest
 
-from gwa.cli import main
+from gwa.cli import build_arg_parser, default_grid, main
 from gwa.core import format_element
 from gwa.parser import parse_element
 
@@ -185,3 +186,79 @@ def test_deterministic_output(config, capsys):
     _, out2, _ = run(capsys, "--config", path, "--json",
                      "module", "--zeta", "1", "--annihilator", "c-1,h^5-h", "build")
     assert out1 == out2
+
+
+def test_main_twice_in_one_process(config, capsys, monkeypatch):
+    # the parser is built once per process, but GWA_TRUNCATION is read on
+    # every call, and an explicit --degree still wins
+    path = config(DOUBLING)
+
+    def classify(*extra):
+        code, out, _ = run(capsys, "--config", path, "--json", "ideals", "classify", *extra)
+        assert code == 0
+        return json.loads(out)["proper_nonzero"]
+
+    monkeypatch.setenv("GWA_TRUNCATION", "3")
+    assert classify() == ["t", "t^2", "t^3"]
+    code, out, _ = run(capsys, "--config", path, "normalize", "Y*X")
+    assert code == 0 and out.strip() == "t"
+    monkeypatch.setenv("GWA_TRUNCATION", "2")
+    assert classify() == ["t", "t^2"]
+    assert classify("--degree", "1") == ["t"]
+    monkeypatch.delenv("GWA_TRUNCATION")
+    assert classify() == ["t", "t^2", "t^3", "t^4"]
+    assert build_arg_parser() is build_arg_parser()
+
+
+GOLDEN_VERIFY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench", "golden_verify.json")
+
+
+def _golden_subset_diff(golden, actual, path="$"):
+    """First place where `actual` disagrees with `golden`; keys only `actual` has are ignored."""
+    if isinstance(golden, dict):
+        if not isinstance(actual, dict):
+            return f"{path}: expected an object"
+        for key, value in golden.items():
+            if key not in actual:
+                return f"{path}.{key}: missing"
+            diff = _golden_subset_diff(value, actual[key], f"{path}.{key}")
+            if diff:
+                return diff
+        return None
+    if isinstance(golden, list):
+        if not isinstance(actual, list) or len(actual) != len(golden):
+            return f"{path}: expected a list of {len(golden)}"
+        for i, (g, a) in enumerate(zip(golden, actual)):
+            diff = _golden_subset_diff(g, a, f"{path}[{i}]")
+            if diff:
+                return diff
+        return None
+    return None if golden == actual else f"{path}: {actual!r} != {golden!r}"
+
+
+@pytest.mark.parametrize("theorem", ["T8.3", "T8.5", "T8.7", "T8.9", "T9", "T10"])
+def test_verify_default_grid_matches_golden(capsys, theorem):
+    # the golden file holds one `verify --grid [point] --json` output per
+    # default point, keyed by the point; match the default grid's points to
+    # them by field and parameters
+    with open(GOLDEN_VERIFY) as fh:
+        golden = json.load(fh)
+    expected = {}
+    for key, doc in golden.items():
+        name, grid_point = key.split(" ", 1)
+        if name == theorem:
+            grid_point = json.loads(grid_point)
+            field = (f"F{grid_point['p']}" if "p" in grid_point else
+                     f"Q(zeta{grid_point['cyclotomic']})" if "cyclotomic" in grid_point else "Q")
+            (point,) = doc["points"]
+            expected[field, json.dumps(point["params"], sort_keys=True)] = point
+    fields = [repr(spec.field) for spec in default_grid(theorem)]
+    code, out, _ = run(capsys, "verify", theorem, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["all_green"] and doc["theorem"] == theorem
+    assert len(doc["points"]) == len(fields) == len(expected)
+    for field, point in zip(fields, doc["points"]):
+        want = expected.pop((field, json.dumps(point["params"], sort_keys=True)))
+        assert _golden_subset_diff(want, point) is None

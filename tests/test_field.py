@@ -1,14 +1,18 @@
+import json
 import os
 import random
 import subprocess
 import sys
+import zlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from gwa.errors import DivisionByZero, FieldMismatch, NoSuchRoot, ZeroElement
+from gwa.errors import DivisionByZero, FieldMismatch, InvalidParameters, NoSuchRoot, ZeroElement
 from gwa.field import (
     FieldSpec,
+    _format_poly,
     cyclotomic_field,
     cyclotomic_polynomial,
     element_order,
@@ -19,6 +23,7 @@ from gwa.field import (
     rationals,
     root_of_unity,
 )
+from gwa.parser import parse_scalar
 
 Q = rationals()
 F5 = prime_field(5)
@@ -191,3 +196,152 @@ def test_spec_hash_is_the_same_in_every_process():
                               text=True, check=True, timeout=60).stdout
                for _ in range(2)}
     assert len(outputs) == 1
+
+
+# ---------------------------------------------------------------------------
+# reference Q(zeta_n): a tuple of phi(n) Fraction coefficients, products
+# reduced by polynomial division by Phi_n, inverses by the extended gcd
+
+
+def _ref_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
+def _ref_sub(a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _ref_trim(x - y for x, y in zip(a, b))
+
+
+def _ref_pmul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b):
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    while len(r) >= len(b):
+        if r[-1] == 0:
+            r.pop()
+            continue
+        k = len(r) - len(b)
+        c = r[-1] / b[-1]
+        q[k] = c
+        for i, d in enumerate(b):
+            r[i + k] -= c * d
+        r.pop()
+    return _ref_trim(q), _ref_trim(r)
+
+
+def _ref_pad(a, d):
+    return tuple(Fraction(c) for c in a) + (Fraction(0),) * (d - len(a))
+
+
+class RefCyclotomic:
+    def __init__(self, n):
+        self.mod = cyclotomic_polynomial(n)
+        self.d = len(self.mod) - 1
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def mul(self, a, b):
+        return _ref_pad(_ref_divmod(_ref_pmul(_ref_trim(a), _ref_trim(b)), self.mod)[1], self.d)
+
+    def inv(self, a):
+        r0, r1 = _ref_trim(a), self.mod
+        s0, s1 = (Fraction(1),), ()
+        while r1:
+            q, r = _ref_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _ref_sub(s0, _ref_pmul(q, s1))
+        assert len(r0) == 1
+        return _ref_pad([c / r0[0] for c in s0], self.d)
+
+    def pow(self, a, k):
+        if k < 0:
+            a, k = self.inv(a), -k
+        out = _ref_pad((1,), self.d)
+        for _ in range(k):
+            out = self.mul(out, a)
+        return out
+
+
+CYCLOTOMIC_INDICES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15)
+
+
+def _ref_elements(n, d):
+    rng = random.Random(zlib.crc32(f"cyclotomic {n}".encode()))
+    out = [_ref_pad((), d), _ref_pad((1,), d), _ref_pad((-1,), d), _ref_pad((Fraction(3, 4),), d)]
+    if d > 1:
+        out.append(_ref_pad((0, 1), d))
+    while len(out) < 11:
+        out.append(tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 6)))
+                         if rng.random() < 0.6 else Fraction(0) for _ in range(d)))
+    return out
+
+
+@pytest.mark.parametrize("n", CYCLOTOMIC_INDICES)
+def test_cyclotomic_matches_reference(n):
+    spec = cyclotomic_field(n)
+    ref = RefCyclotomic(n)
+    d = ref.d
+    z = spec.generator()
+
+    def lib(a):
+        out = spec.zero()
+        for i, c in enumerate(a):
+            out = out + spec.from_fraction(c) * z ** i
+        return out
+
+    def as_ref(x):
+        nums, den = x.payload
+        assert len(nums) == d and den > 0 and gcd(den, *nums) == 1
+        return tuple(Fraction(c, den) for c in nums)
+
+    def agree(x, a):
+        assert as_ref(x) == a
+        y = lib(a)
+        assert x == y and hash(x) == hash(y)
+
+    spec2 = FieldSpec.from_json(json.loads(json.dumps(spec.to_json())))
+    elements = _ref_elements(n, d)
+    for a in elements:
+        x = lib(a)
+        agree(x, a)
+        if not any(a):
+            assert x.payload == ((0,) * d, 1) and x == spec.zero() and x.is_zero()
+        assert format_scalar(x) == _format_poly(_ref_trim(a), f"zeta{n}")
+        assert parse_scalar(spec2, format_scalar(x)) == x
+        if any(a[1:]):
+            with pytest.raises(InvalidParameters):
+                x.as_fraction()
+        else:
+            assert x.as_fraction() == a[0]
+            assert spec.from_fraction(a[0]) == x
+        agree(-x, ref.neg(a))
+        for k in (0, 1, 2, 3, 5):
+            agree(x ** k, ref.pow(a, k))
+        if any(a):
+            agree(x.inv(), ref.inv(a))
+            agree(x ** -2, ref.pow(a, -2))
+        for b in elements:
+            y = lib(b)
+            assert (x == y) == (a == b)
+            agree(x + y, ref.add(a, b))
+            agree(x - y, ref.add(a, ref.neg(b)))
+            agree(x * y, ref.mul(a, b))
+            if any(b):
+                agree(x / y, ref.mul(a, ref.inv(b)))

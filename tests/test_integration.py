@@ -5,29 +5,28 @@ import json
 from gwa.catalog import FamilySpec, TheoremModuleSpec, build_family, build_theorem_module, eval_poly
 from gwa.cli import main
 from gwa.core import quotient_gwa
-from gwa.field import field_arith, prime_field, rationals
+from gwa.field import prime_field, rationals
 from gwa.ideals import phi_stable_ideal
 from gwa.parser import parse_element
-from gwa.ring import ring_arith
 from gwa.whittaker import ann_V_check, whittaker_vectors
 
 Q = rationals()
 
 
-def test_field_arith_wrapper():
-    assert field_arith("add", Q.from_int(1), Q.from_int(2)) == Q.from_int(3)
-    assert field_arith("inv", Q.from_int(2)) == Q.from_fraction(__import__("fractions").Fraction(1, 2))
-    assert field_arith("eq", Q.one(), Q.one()) is True
-    assert field_arith("pow", Q.from_int(2), Q.from_int(3)) == Q.from_int(8)
+def test_field_operators():
+    assert Q.from_int(1) + Q.from_int(2) == Q.from_int(3)
+    assert Q.from_int(2).inv() == Q.from_fraction(__import__("fractions").Fraction(1, 2))
+    assert (Q.one() == Q.one()) is True
+    assert Q.from_int(2) ** 3 == Q.from_int(8)
 
 
-def test_ring_arith_wrapper():
+def test_ring_operators():
     from gwa.ring import BaseRing
 
     R = BaseRing(Q, ["t"])
     t = R.gen("t")
-    assert ring_arith("mul", t - R.one(), t + R.one()) == t * t - R.one()
-    assert ring_arith("pow", t, 3) == t ** 3
+    assert (t - R.one()) * (t + R.one()) == t * t - R.one()
+    assert t ** 3 == t * t * t
 
 
 def test_parse_weyl_a2_names():

@@ -7,7 +7,6 @@ from gwa.field import cyclotomic_field, prime_field, rational_functions, rationa
 from gwa.ring import (
     Automorphism,
     BaseRing,
-    auto_apply,
     auto_order,
     auto_power,
     fixed_subring_generators,
@@ -212,4 +211,4 @@ def test_ring_mismatch():
 def test_identity_automorphism():
     R = BaseRing(Q, ["t"])
     assert identity_automorphism(R).is_identity()
-    assert auto_apply(identity_automorphism(R), R.gen("t")) == R.gen("t")
+    assert identity_automorphism(R).apply(R.gen("t")) == R.gen("t")

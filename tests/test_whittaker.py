@@ -1,11 +1,15 @@
 import random
+import zlib
 
 import pytest
 
+from gwa.catalog import build_theorem_module
+from gwa.cli import default_grid
 from gwa.core import gwa_mul
 from gwa.errors import NotAWhittakerPair, NotPhiStable
 from gwa.field import prime_field, rationals
 from gwa.ideals import ideal_equal_gens, phi_stable_ideal
+from gwa.linalg import identity, mat_mul, mat_pow, mat_vec, zeros
 from gwa.whittaker import (
     ann_V_check,
     ann_w_generators,
@@ -211,3 +215,57 @@ def test_module_json_shape():
     assert data["dimension"] == 2
     assert "X" in data["matrices"] and "t" in data["matrices"]
     assert data["zeta"] == ["1"]
+
+
+# ---------------------------------------------------------------------------
+# matrix models against independent references
+
+THEOREMS = ("T8.3", "T8.5", "T8.7", "T8.9", "T9", "T10")
+
+
+def _theorem_model(theorem):
+    # T8.3's last default point is its largest module
+    spec = default_grid(theorem)[-1 if theorem == "T8.3" else 0]
+    V, _ = build_theorem_module(spec)
+    return V.realization
+
+
+def _ref_matrix_of_ring(model, r):
+    """Sum of c * G_1^e_1 ... G_k^e_k, each power by repeated squaring."""
+    out = zeros(model.field, model.dim, model.dim)
+    for exps, c in r.terms.items():
+        m = identity(model.field, model.dim)
+        for name, e in zip(model.pres.ring.gens, exps):
+            if e:
+                base = model.gen_mats[name] if e > 0 else model.gen_inv_mats[name]
+                m = mat_mul(m, mat_pow(base, abs(e)))
+        out = [[x + c * y for x, y in zip(ro, rm)] for ro, rm in zip(out, m)]
+    return out
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_monomial_caches_match_mat_pow(theorem):
+    model = _theorem_model(theorem)
+    ring = model.pres.ring
+    rng = random.Random(zlib.crc32(theorem.encode()))
+    elements = [random_ring_element(rng, ring, max_degree=4, n_terms=4) for _ in range(8)]
+    elements += [ring.gen(name, -3) * ring.gen(ring.gens[0])
+                 for name, l in zip(ring.gens, ring.laurent) if l]
+    elements.append(ring.zero())
+    # the second round finds every monomial cached by the first
+    for _ in range(2):
+        for r in elements:
+            ref = _ref_matrix_of_ring(model, r)
+            assert model.matrix_of_ring(r) == ref
+            assert model.vector_of_ring(r) == mat_vec(ref, model.w)
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_action_is_a_homomorphism(theorem):
+    model = _theorem_model(theorem)
+    pres = model.pres
+    rng = random.Random(zlib.crc32(("homomorphism " + theorem).encode()))
+    for _ in range(6):
+        a = random_gwa_element(rng, pres, max_z=2, max_degree=2, n_terms=2)
+        b = random_gwa_element(rng, pres, max_z=2, max_degree=2, n_terms=2)
+        assert model.act_matrix(gwa_mul(a, b)) == mat_mul(model.act_matrix(a), model.act_matrix(b))
