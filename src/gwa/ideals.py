@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .field import element_order
-from .linalg import kernel_basis
+from .linalg import linear_combination, linear_relations
 from .ring import Automorphism, BaseRing, RingElement, affine_shape, fixed_subring_generators
 
 
@@ -598,42 +598,24 @@ def is_centrally_generated(J: PhiStableIdeal, family: str, degree_slack: int = 2
 
     # candidate products of invariant generators, bounded by total degree
     candidates = [ring.one()]
+    seen = {_freeze(ring.one())}
     frontier = [ring.one()]
     while frontier:
         nxt = []
         for c in frontier:
             for inv in invariants:
                 prod = c * inv
-                if prod.degree() <= max_deg and _freeze(prod) not in {_freeze(x) for x in candidates}:
+                if prod.degree() <= max_deg and _freeze(prod) not in seen:
+                    seen.add(_freeze(prod))
                     candidates.append(prod)
                     nxt.append(prod)
         frontier = nxt
 
-    # monomial coordinates of normal forms; central elements of J are the kernel
-    coords = {}
-
-    def coord_vector(r):
-        vec = dict(r.terms)
-        for exps in vec:
-            coords.setdefault(exps, len(coords))
-        return vec
-
-    reduced = [coord_vector(normal_form(c, J.generators)) for c in candidates]
-    width = len(coords)
-    rows = []
-    for vec in reduced:
-        row = [field.zero()] * width
-        for exps, c in vec.items():
-            row[coords[exps]] = c
-        rows.append(row)
-    columns = list(zip(*rows)) if rows else []
-    matrix = [list(col) for col in columns] or [[field.zero()] * len(candidates)]
+    # central elements of J: the relations among the candidates' normal forms
+    reduced = [normal_form(c, J.generators).terms for c in candidates]
     central = []
-    for combo in kernel_basis(matrix, field):
-        elt = ring.zero()
-        for coeff, cand in zip(combo, candidates):
-            if not coeff.is_zero():
-                elt = elt + cand * coeff
+    for combo in linear_relations(reduced, field):
+        elt = linear_combination(combo, candidates, ring.zero())
         if not elt.is_zero():
             central.append(elt)
     ok = bool(central) and ideal_equal_gens(ring, central, J.generators)

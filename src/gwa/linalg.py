@@ -1,9 +1,13 @@
 """Exact linear algebra over a coefficient field.
 
-Matrices are lists of rows of FieldElement, and the matrix routines are plain
-dense Gaussian elimination with exact division; no pivoting strategy is
-needed because the arithmetic is exact.  RowSpace, the incremental span used
-for wide, mostly-zero vectors, keeps its reduced rows sparse instead.
+Matrices are lists of rows of FieldElement.  The one elimination engine is
+RowSpace, an incremental span that keeps its reduced row echelon rows sparse,
+as {column: scalar} maps.  A span's reduced echelon form is unique, so rank,
+kernel_basis, solve and inverse read their answers off the RowSpace of the rows.
+linear_relations(images, spec) is the kernel primitive: the basis of
+{c : sum_j c_j images[j] = 0} that kernel_basis gives for the matrix whose
+columns are the images, each a dense list or a sparse {coordinate: scalar}
+dict; with no nonzero coordinate it is the identity basis.
 """
 
 from __future__ import annotations
@@ -62,19 +66,6 @@ def mat_vec(a, v):
     return out
 
 
-def mat_pow(a, k: int):
-    n = len(a)
-    spec = a[0][0].spec
-    out = identity(spec, n)
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
 def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
@@ -87,79 +78,83 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (new_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r] + [row for row in rows[r:] if any(not x.is_zero() for x in row)], pivots
-
-
 def rank(rows) -> int:
-    reduced, pivots = rref(rows)
-    return len(pivots)
+    if not rows or not rows[0]:
+        return 0
+    return _row_space(rows, rows[0][0].spec, len(rows[0])).dim
 
 
 def kernel_basis(a, spec: FieldSpec):
     """Basis of the right kernel {v : a v = 0}."""
     if not a:
         raise InvalidParameters("kernel of an empty matrix is ambiguous")
-    ncols = len(a[0])
-    reduced, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    zero, one = spec.zero(), spec.one()
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(v)
-    return basis
+    return _free_column_basis(_row_space(a, spec, len(a[0])))
+
+
+def linear_relations(images, spec: FieldSpec):
+    """Basis of the relations {c : sum_j c_j images[j] = 0}."""
+    rows = {}
+    for j, image in enumerate(images):
+        for k, x in (image.items() if isinstance(image, dict) else enumerate(image)):
+            if not x.is_zero():
+                rows.setdefault(k, {})[j] = x
+    return _free_column_basis(_row_space(rows.values(), spec, len(images)))
+
+
+def linear_combination(coeffs, elements, zero):
+    """sum_j coeffs[j] elements[j], the element a relation stands for; the
+    elements are ring or algebra elements."""
+    out = zero
+    for c, e in zip(coeffs, elements):
+        if not c.is_zero():
+            out = out + e.scale(c)
+    return out
 
 
 def solve(a, b, spec: FieldSpec):
     """One solution x of a x = b, or None when inconsistent."""
-    rows = [list(ra) + [bv] for ra, bv in zip(a, b)]
     ncols = len(a[0])
-    reduced, pivots = rref(rows)
-    for row in reduced:
-        if all(x.is_zero() for x in row[:-1]) and not row[-1].is_zero():
-            return None
+    space = _row_space([list(ra) + [bv] for ra, bv in zip(a, b)], spec, ncols + 1)
+    if ncols in space.by_pivot:
+        return None
     zero = spec.zero()
     x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = reduced[r][-1]
+    for p, row in space.by_pivot.items():
+        x[p] = row.get(ncols, zero)
     return x
 
 
 def inverse(a, spec: FieldSpec):
     n = len(a)
     aug = [list(row) + list(idr) for row, idr in zip(a, identity(spec, n))]
-    reduced, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    space = _row_space(aug, spec, 2 * n)
+    if any(p not in space.by_pivot for p in range(n)):
         return None
-    return [row[n:] for row in reduced[:n]]
+    zero = spec.zero()
+    return [[space.by_pivot[p].get(n + j, zero) for j in range(n)] for p in range(n)]
+
+
+def _row_space(rows, spec: FieldSpec, width: int) -> RowSpace:
+    space = RowSpace(spec, width)
+    for row in rows:
+        space.add(row)
+    return space
+
+
+def _free_column_basis(space: RowSpace) -> list:
+    """The kernel of the reduced rows, one vector per non-pivot column f: a one
+    at f, and at each pivot minus that row's entry in column f."""
+    zero, one = space.spec.zero(), space.spec.one()
+    basis = {}
+    for f in range(space.width):
+        if f not in space.by_pivot:
+            basis[f] = [zero] * space.width
+            basis[f][f] = one
+    for p, row in space.by_pivot.items():
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = -x
+    return list(basis.values())
 
 
 class RowSpace:

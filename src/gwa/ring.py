@@ -159,6 +159,10 @@ class RingElement:
 
     __rmul__ = __mul__
 
+    def scale(self, c: FieldElement) -> "RingElement":
+        """Multiply by a field scalar."""
+        return self * c
+
     def __pow__(self, k: int):
         if k < 0:
             inv = self.unit_inverse()

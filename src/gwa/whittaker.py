@@ -28,9 +28,10 @@ from .linalg import (
     inverse,
     is_zero_matrix,
     kernel_basis,
+    linear_combination,
+    linear_relations,
     mat_eq,
     mat_mul,
-    mat_pow,
     mat_sub,
     mat_vec,
     transpose,
@@ -161,10 +162,9 @@ class MatrixModel:
     def z_matrix(self, alpha):
         m = identity(self.field, self.dim)
         for i, e in enumerate(alpha):
-            if e > 0:
-                m = mat_mul(m, mat_pow(self.x_mats[i], e))
-            elif e < 0:
-                m = mat_mul(m, mat_pow(self.y_mats[i], -e))
+            step = self.x_mats[i] if e > 0 else self.y_mats[i]
+            for _ in range(abs(e)):
+                m = mat_mul(m, step)
         return m
 
     def act_matrix(self, a: GwaElement):
@@ -295,7 +295,8 @@ def build_module(pres: GwaPresentation, Q, zeta) -> WhittakerModule:
                     shifts[name] = m
         vec = vector_of_poly(shifted)
         for name, m in shifts.items():
-            vec = mat_vec(mat_pow(gen_inv[name], m), vec)
+            for _ in range(m):
+                vec = mat_vec(gen_inv[name], vec)
         return vec
 
     x_mats, y_mats = [], []
@@ -387,6 +388,12 @@ def algebra_basis(pres, degree: int):
     return out
 
 
+def _basis_elements(pres, basis) -> list:
+    """The algebra monomials Z^alpha * m of the basis keys (alpha, m)."""
+    one = pres.ring.field.one()
+    return [pres.monomial(alpha, pres.ring.monomial(exps, one)) for alpha, exps in basis]
+
+
 def _element_vector(a: GwaElement, index) -> dict | None:
     """The sparse coordinates {column: scalar} of a, or None when a has a
     term outside the index."""
@@ -412,18 +419,10 @@ def recover_annihilator(V: WhittakerModule, degree_margin: int = 1) -> PhiStable
     ring = V.pres.ring
     field = ring.field
     bound = model.dim + degree_margin
-    monos = ring_monomials(ring, bound, laurent_window=bound)
-    columns = [model.vector_of_ring(ring.monomial(m, field.one())) for m in monos]
-    matrix = [[columns[j][i] for j in range(len(monos))] for i in range(model.dim)]
-    kernel = kernel_basis(matrix, field)
-    gens = []
-    for combo in kernel:
-        elt = ring.zero()
-        for c, m in zip(combo, monos):
-            if not c.is_zero():
-                elt = elt + ring.monomial(m, c)
-        if not elt.is_zero():
-            gens.append(elt)
+    monos = [ring.monomial(m, field.one())
+             for m in ring_monomials(ring, bound, laurent_window=bound)]
+    kernel = linear_relations([model.vector_of_ring(m) for m in monos], field)
+    gens = [linear_combination(combo, monos, ring.zero()) for combo in kernel]
     return phi_stable_ideal(ring, V.pres.phis, gens)
 
 
@@ -471,8 +470,7 @@ def _truncated_left_span(pres, gens, index, degree, slack):
     width = len(ambient)
 
     space = RowSpace(field, width)
-    for alpha, exps in algebra_basis(pres, degree + slack):
-        b = pres.monomial(alpha, pres.ring.monomial(exps, field.one()))
+    for b in _basis_elements(pres, algebra_basis(pres, degree + slack)):
         for g in gens:
             prod = gwa_mul(b, g)
             if prod.is_zero():
@@ -498,13 +496,8 @@ def thm43_truncated_check(V: WhittakerModule, degree: int = 4, slack: int = 2) -
     field = pres.ring.field
     basis = algebra_basis(pres, degree)
     index = {key: j for j, key in enumerate(basis)}
-
-    columns = []
-    for alpha, exps in basis:
-        a = pres.monomial(alpha, pres.ring.monomial(exps, field.one()))
-        columns.append(model.act_vector(a, model.w))
-    matrix = [[columns[j][i] for j in range(len(basis))] for i in range(model.dim)]
-    kernel = kernel_basis(matrix, field)
+    elements = _basis_elements(pres, basis)
+    kernel = linear_relations([model.act_vector(a, model.w) for a in elements], field)
 
     span = _truncated_left_span(pres, ann_w_generators(V), index, degree, slack)
     witness = None
@@ -512,24 +505,16 @@ def thm43_truncated_check(V: WhittakerModule, degree: int = 4, slack: int = 2) -
     for vec in kernel:
         if not span.contains(vec):
             ok = False
-            witness = _vector_element(pres, basis, vec)
+            witness = linear_combination(vec, elements, pres.zero())
             break
     # the reverse inclusion: spanned elements annihilate w
     for row in span.rows:
-        elt = _vector_element(pres, basis, row)
+        elt = linear_combination(row, elements, pres.zero())
         if not ann_w_member(V, elt):
             ok = False
             witness = elt
             break
     return TruncatedIdealCheck(ok, degree, len(kernel), span.dim, witness)
-
-
-def _vector_element(pres, basis, vec) -> GwaElement:
-    out = pres.zero()
-    for c, (alpha, exps) in zip(vec, basis):
-        if not c.is_zero():
-            out = out + pres.monomial(alpha, pres.ring.monomial(exps, c))
-    return out
 
 
 def ann_V_check(V: WhittakerModule, candidate_gens, degree: int = 4,
@@ -543,19 +528,14 @@ def ann_V_check(V: WhittakerModule, candidate_gens, degree: int = 4,
     field = pres.ring.field
     basis = algebra_basis(pres, degree)
     index = {key: j for j, key in enumerate(basis)}
+    elements = _basis_elements(pres, basis)
 
     if V.is_matrix:
         model = V.realization
         for g in candidate_gens:
             if not is_zero_matrix(model.act_matrix(g)):
                 return TruncatedIdealCheck(False, degree, -1, -1, g)
-        rows = []
-        for alpha, exps in basis:
-            a = pres.monomial(alpha, pres.ring.monomial(exps, field.one()))
-            m = model.act_matrix(a)
-            rows.append([x for row in m for x in row])
-        matrix = [[rows[j][i] for j in range(len(basis))] for i in range(model.dim ** 2)]
-        kernel = kernel_basis(matrix, field)
+        images = [[x for row in model.act_matrix(a) for x in row] for a in elements]
     else:
         sample_degree = degree + 3 if sample_degree is None else sample_degree
         sym = V.realization
@@ -573,26 +553,9 @@ def ann_V_check(V: WhittakerModule, candidate_gens, degree: int = 4,
             for r in reps:
                 if not sym.act_residue(g, r).is_zero():
                     return TruncatedIdealCheck(False, degree, -1, -1, g)
-        coords = {}
-        images = []
-        for alpha, exps in basis:
-            a = pres.monomial(alpha, pres.ring.monomial(exps, field.one()))
-            img = []
-            for slot, r in enumerate(reps):
-                value = sym.act_residue(a, r)
-                for e in value.terms:
-                    coords.setdefault((slot, e), len(coords))
-                img.append(value)
-            images.append(img)
-        width = len(coords)
-        matrix = [[field.zero()] * len(basis) for _ in range(width)]
-        for j, img in enumerate(images):
-            for slot, value in enumerate(img):
-                for e, c in value.terms.items():
-                    matrix[coords[(slot, e)]][j] = c
-        kernel = kernel_basis(matrix, field) if width else \
-            [[field.one() if k == j else field.zero() for k in range(len(basis))]
-             for j in range(len(basis))]
+        images = [{(slot, e): c for slot, r in enumerate(reps)
+                   for e, c in sym.act_residue(a, r).terms.items()} for a in elements]
+    kernel = linear_relations(images, field)
 
     span = _truncated_left_span(pres, candidate_gens, index, degree, slack)
     for vec in kernel:
@@ -604,7 +567,7 @@ def ann_V_check(V: WhittakerModule, candidate_gens, degree: int = 4,
                     f"an apparent annihilator of degree <= {degree} is outside the "
                     f"truncated span; enlarge the truncation or sample degree")
             return TruncatedIdealCheck(False, degree, len(kernel), span.dim,
-                                       _vector_element(pres, basis, vec))
+                                       linear_combination(vec, elements, pres.zero()))
     return TruncatedIdealCheck(True, degree, len(kernel), span.dim)
 
 
@@ -663,36 +626,18 @@ def whittaker_vectors_symbolic(V: WhittakerModule, eta, degree: int) -> list:
     """Ring elements r of degree <= degree with r w in Wh_eta, via the
     eigenvalue condition phi_i(r) = zeta_i^{-1} eta_i r mod Q."""
     pres = V.pres
-    field = pres.ring.field
+    ring = pres.ring
     sym = V.realization
-    monos = ring_monomials(pres.ring, degree)
-    coords = {}
-    rows_per_i = []
-    for i in range(pres.n):
-        lam = V.zeta[i].inv() * tuple(eta)[i]
-        images = []
-        for m in monos:
-            r = pres.ring.monomial(m, field.one())
-            value = sym.reduce(pres.phis[i].apply(r) - r * lam)
-            for e in value.terms:
-                coords.setdefault(e, len(coords))
-            images.append(value)
-        rows_per_i.append(images)
-    width = len(coords)
-    matrix = [[field.zero()] * len(monos) for _ in range(width * pres.n or 1)]
-    for i, images in enumerate(rows_per_i):
-        for j, value in enumerate(images):
-            for e, c in value.terms.items():
-                matrix[i * width + coords[e]][j] = c
-    out = []
-    for combo in kernel_basis(matrix, field):
-        elt = pres.ring.zero()
-        for c, m in zip(combo, monos):
-            if not c.is_zero():
-                elt = elt + pres.ring.monomial(m, c)
-        if not elt.is_zero():
-            out.append(elt)
-    return out
+    eta = tuple(eta)
+    if len(eta) != pres.n:
+        raise InvalidParameters("need one eta_i per index")
+    lams = [z.inv() * e for z, e in zip(V.zeta, eta)]
+    monos = [ring.monomial(m, ring.field.one()) for m in ring_monomials(ring, degree)]
+    images = [{(i, e): c for i, lam in enumerate(lams)
+               for e, c in sym.reduce(pres.phis[i].apply(r) - r * lam).terms.items()}
+              for r in monos]
+    return [linear_combination(combo, monos, ring.zero())
+            for combo in linear_relations(images, ring.field)]
 
 
 def _scaled_identity(field, n, c):
@@ -813,31 +758,13 @@ def endo_ring(V: WhittakerModule, degree: int | None = None) -> EndoReport:
 
     if degree is None:
         degree = d + max((g.degree() for g in V.Q.generators), default=1)
-    monos = ring_monomials(pres.ring, degree)
+    monos = [pres.ring.monomial(m, field.one()) for m in ring_monomials(pres.ring, degree)]
+    images = [[x for phi in pres.phis for x in model.vector_of_ring(r - phi.apply(r))]
+              for r in monos]
     s_space = RowSpace(field, d * d)
-    conditions = []
-    for m in monos:
-        r = pres.ring.monomial(m, field.one())
-        vecs = []
-        for i in range(pres.n):
-            diff = r - pres.phis[i].apply(r)
-            vecs.append(model.vector_of_ring(diff))
-        conditions.append((r, vecs))
-    stacked = []
-    for j, (_, vecs) in enumerate(conditions):
-        col = []
-        for v in vecs:
-            col.extend(v)
-        stacked.append(col)
-    matrix = [[stacked[j][i] for j in range(len(conditions))] for i in range(len(stacked[0]))] \
-        if stacked and stacked[0] else [[field.zero()] * len(conditions)]
-    for combo in kernel_basis(matrix, field):
-        s = pres.ring.zero()
-        for c, (r, _) in zip(combo, conditions):
-            if not c.is_zero():
-                s = s + r * c
-        if not s.is_zero():
-            s_space.add([x for row in model.matrix_of_ring(s) for x in row])
+    for combo in linear_relations(images, field):
+        s = linear_combination(combo, monos, pres.ring.zero())
+        s_space.add([x for row in model.matrix_of_ring(s) for x in row])
 
     comm_space = RowSpace(field, d * d)
     for vec in commutant_flat:

@@ -262,3 +262,19 @@ def test_verify_default_grid_matches_golden(capsys, theorem):
     for field, point in zip(fields, doc["points"]):
         want = expected.pop((field, json.dumps(point["params"], sort_keys=True)))
         assert _golden_subset_diff(want, point) is None
+
+
+GOLDEN_CLI = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+with open(GOLDEN_CLI) as _fh:
+    CLI_CASES = json.load(_fh)
+
+
+@pytest.mark.parametrize("case", CLI_CASES,
+                         ids=[f"{c['family']}: {' '.join(c['argv'][1:])}" for c in CLI_CASES])
+def test_cli_matches_golden(config, capsys, case):
+    # `family-facts` and `module` outputs over the catalog families: stdout
+    # byte for byte, and the exit code
+    path = config(case["config"])
+    code, out, _ = run(capsys, "--config", path, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]

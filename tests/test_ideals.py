@@ -20,7 +20,7 @@ from gwa.ideals import (
     reduce_with_certificate,
     _spoly,
 )
-from gwa.ring import Automorphism, BaseRing
+from gwa.ring import Automorphism, BaseRing, format_ring_element
 from util import random_ring_element
 
 Q = rationals()
@@ -215,6 +215,7 @@ def test_centrally_generated_weyl_shift():
     J = phi_stable_ideal(R, [shift], [gen])
     ok, central = is_centrally_generated(J, "weyl_shift_charp")
     assert ok
+    assert [format_ring_element(c) for c in central] == ["t^5 + 4*t + 3"]
     assert ideal_equal_gens(R, central, [gen])
 
 
@@ -225,6 +226,7 @@ def test_centrally_generated_smith_char0():
     J = phi_stable_ideal(R, [phi], [R.gen("c") - R.scalar(theta)])
     ok, central = is_centrally_generated(J, "smith_char0")
     assert ok
+    assert [format_ring_element(c) for c in central] == ["c - 3", "c^2 - 9", "c^3 - 27"]
     assert ideal_equal_gens(R, central, [R.gen("c") - R.scalar(theta)])
 
 
@@ -242,6 +244,8 @@ def test_centrally_generated_quantum_smith():
     J = phi_stable_ideal(R, [phi], gens)
     ok, central = is_centrally_generated(J, "quantum_smith")
     assert ok
+    assert [format_ring_element(c) for c in central] == [
+        "c - 1", "K^3 - 8", "c^2 - 1", "c*K^3 - 8", "c^3 - 1", "c^2*K^3 - 8", "c^4 - 1", "c^5 - 1"]
 
 
 def test_centrally_generated_unsupported_family():

@@ -1,18 +1,22 @@
-"""The sparse RowSpace against a dense reference with the same contract.
+"""The sparse linear algebra against dense references with the same contract.
 
-`DenseRowSpace` is plain dense Gauss-Jordan elimination over full-width rows.
-Reduced row echelon form is unique for a given span, so both classes must
-agree on every return value, on the rows and on the pivots, whatever order the
-vectors come in.
+`DenseRowSpace` is plain dense Gauss-Jordan elimination over full-width rows,
+and `rref` with its callers `rank`, `kernel_basis`, `solve` and `inverse` is the
+dense elimination the library used before everything went through RowSpace.
+Reduced row echelon form is unique for a given span, so the library and the
+references must agree on every return value, whatever order the vectors come in.
 """
 
 import random
+import zlib
 
 import pytest
 
+import gwa.linalg as linalg
 import gwa.whittaker
-from gwa.field import cyclotomic_field, prime_field, rationals
-from gwa.linalg import RowSpace
+from gwa.errors import InvalidParameters
+from gwa.field import FieldSpec, cyclotomic_field, prime_field, rationals
+from gwa.linalg import RowSpace, identity, transpose
 from gwa.whittaker import build_module, endo_ring, is_simple
 
 from util import univariate_affine
@@ -218,3 +222,190 @@ def test_module_verdicts_match_reference(monkeypatch):
         dense_run = (is_simple(V), endo_ring(V))
         monkeypatch.undo()
         assert sparse_run == dense_run
+
+
+# -- the dense reference for rank, kernel_basis, solve and inverse ------------
+
+
+def rref(rows):
+    """Reduced row echelon form; returns (new_rows, pivot_columns)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r] + [row for row in rows[r:] if any(not x.is_zero() for x in row)], pivots
+
+
+def rank(rows) -> int:
+    reduced, pivots = rref(rows)
+    return len(pivots)
+
+
+def kernel_basis(a, spec: FieldSpec):
+    """Basis of the right kernel {v : a v = 0}."""
+    if not a:
+        raise InvalidParameters("kernel of an empty matrix is ambiguous")
+    ncols = len(a[0])
+    reduced, pivots = rref(a)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    zero, one = spec.zero(), spec.one()
+    for fc in free:
+        v = [zero] * ncols
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        basis.append(v)
+    return basis
+
+
+def solve(a, b, spec: FieldSpec):
+    """One solution x of a x = b, or None when inconsistent."""
+    rows = [list(ra) + [bv] for ra, bv in zip(a, b)]
+    ncols = len(a[0])
+    reduced, pivots = rref(rows)
+    for row in reduced:
+        if all(x.is_zero() for x in row[:-1]) and not row[-1].is_zero():
+            return None
+    zero = spec.zero()
+    x = [zero] * ncols
+    for r, pc in enumerate(pivots):
+        if pc == ncols:
+            return None
+        x[pc] = reduced[r][-1]
+    return x
+
+
+def inverse(a, spec: FieldSpec):
+    n = len(a)
+    aug = [list(row) + list(idr) for row, idr in zip(a, identity(spec, n))]
+    reduced, pivots = rref(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in reduced[:n]]
+
+
+def random_matrix(rng, spec, rows, cols, rank_at_most=None):
+    """Entries from the sample pool, about half of them zero; with
+    rank_at_most, every row is a combination of that many random rows."""
+    pool = spec.sample_pool()
+
+    def row():
+        return [rng.choice(pool) if rng.random() < 0.5 else spec.zero() for _ in range(cols)]
+
+    if rank_at_most is None:
+        return [row() for _ in range(rows)]
+    base = [row() for _ in range(rank_at_most)]
+    out = []
+    for _ in range(rows):
+        acc = [spec.zero()] * cols
+        for r in base:
+            c = rng.choice(pool)
+            acc = [x + c * y for x, y in zip(acc, r)]
+        out.append(acc)
+    return out
+
+
+def matrix_cases(spec):
+    """(name, matrix) over spec: zero, identity, rank-deficient, wide, tall,
+    one row and one column, each seeded from its name."""
+    cases = [("zero", [[spec.zero()] * 4 for _ in range(3)]),
+             ("identity", identity(spec, 4))]
+    shapes = [("square", 4, 4, None), ("square deficient", 5, 5, 2),
+              ("wide", 3, 7, None), ("wide deficient", 4, 8, 2),
+              ("tall", 7, 3, None), ("tall deficient", 8, 4, 2),
+              ("1xn", 1, 6, None), ("nx1", 6, 1, None), ("1x1", 1, 1, None)]
+    for name, rows, cols, r in shapes:
+        for trial in range(3):
+            label = f"{spec!r} {name} {trial}"
+            rng = random.Random(zlib.crc32(label.encode()))
+            cases.append((label, random_matrix(rng, spec, rows, cols, r)))
+    return cases
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_kernel_and_rank_match_dense_reference(spec):
+    for name, a in matrix_cases(spec):
+        assert linalg.kernel_basis(a, spec) == kernel_basis(a, spec), name
+        assert linalg.rank(a) == rank(a), name
+    with pytest.raises(InvalidParameters):
+        linalg.kernel_basis([], spec)
+    assert linalg.rank([]) == rank([]) == 0
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_solve_matches_dense_reference(spec):
+    outcomes = set()
+    for name, a in matrix_cases(spec):
+        rng = random.Random(zlib.crc32(("solve " + name).encode()))
+        pool = spec.sample_pool()
+        x0 = [rng.choice(pool) for _ in a[0]]
+        consistent = linalg.mat_vec(a, x0)
+        arbitrary = [rng.choice(pool) for _ in a]
+        for b in (consistent, arbitrary):
+            x = linalg.solve(a, b, spec)
+            assert x == solve(a, b, spec), name
+            outcomes.add(x is None)
+            if x is not None:
+                assert linalg.mat_vec(a, x) == b
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_inverse_matches_dense_reference(spec):
+    outcomes = set()
+    for name, a in matrix_cases(spec):
+        if len(a) == len(a[0]):
+            inv = linalg.inverse(a, spec)
+            assert inv == inverse(a, spec), name
+            outcomes.add(inv is None)
+            if inv is not None:
+                assert linalg.mat_mul(a, inv) == identity(spec, len(a))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_linear_relations_match_dense_kernel(spec):
+    """linear_relations(images) is the kernel_basis of the matrix whose columns
+    are the images, given dense or as sparse dicts with tuple keys."""
+    for name, a in matrix_cases(spec):
+        expected = kernel_basis(a, spec)
+        images = transpose(a)
+        assert linalg.linear_relations(images, spec) == expected, name
+        rng = random.Random(zlib.crc32(("relations " + name).encode()))
+        keys = [("row", i, i * i) for i in range(len(a))]
+        sparse_images = []
+        for image in images:
+            entries = [(keys[i], x) for i, x in enumerate(image) if not x.is_zero()]
+            rng.shuffle(entries)
+            sparse_images.append(dict(entries))
+        assert linalg.linear_relations(sparse_images, spec) == expected, name
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_linear_relations_without_coordinates(spec):
+    """All-zero images leave every coefficient free; no images, no relations."""
+    zero = [[spec.zero()] * 3 for _ in range(5)]
+    assert linalg.linear_relations(transpose(zero), spec) == kernel_basis(zero, spec)
+    assert linalg.linear_relations([{}] * 5, spec) == identity(spec, 5)
+    assert linalg.linear_relations([[]] * 5, spec) == identity(spec, 5)
+    assert linalg.linear_relations([{(0, 0): spec.zero()}] * 2, spec) == identity(spec, 2)
+    assert linalg.linear_relations([], spec) == kernel_basis([[]], spec) == []
+

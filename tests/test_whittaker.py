@@ -6,10 +6,10 @@ import pytest
 from gwa.catalog import build_theorem_module
 from gwa.cli import default_grid
 from gwa.core import gwa_mul
-from gwa.errors import NotAWhittakerPair, NotPhiStable
+from gwa.errors import InvalidParameters, NotAWhittakerPair, NotPhiStable
 from gwa.field import prime_field, rationals
 from gwa.ideals import ideal_equal_gens, phi_stable_ideal
-from gwa.linalg import identity, mat_mul, mat_pow, mat_vec, zeros
+from gwa.linalg import identity, mat_mul, mat_vec, zeros
 from gwa.whittaker import (
     ann_V_check,
     ann_w_generators,
@@ -160,10 +160,11 @@ def test_whittaker_vectors_universal():
     # Cor: r w_u is a Whittaker vector iff r is a phi-eigenvector
     pres = univariate_affine(Q, Q.from_int(2), Q.from_int(0))
     V = universal_module(pres, (Q.one(),))
-    vecs = whittaker_vectors_symbolic(V, (Q.from_int(2),), degree=3)
     t = pres.ring.gen("t")
-    assert vecs and all(v.degree() == 1 for v in vecs)
-    assert any(v == t or v == t * Q.from_int(-1) for v in vecs) or len(vecs) == 1
+    for eta, expected in ((2, [t]), (4, [t ** 2]), (3, [])):
+        assert whittaker_vectors_symbolic(V, (Q.from_int(eta),), degree=3) == expected
+    with pytest.raises(InvalidParameters):
+        whittaker_vectors_symbolic(V, (Q.from_int(2), Q.from_int(4)), degree=3)
 
 
 def test_is_simple_chain_module():
@@ -230,6 +231,20 @@ def _theorem_model(theorem):
     return V.realization
 
 
+def mat_pow(a, k: int):
+    """Reference: the k-th power of a square matrix by repeated squaring."""
+    n = len(a)
+    spec = a[0][0].spec
+    out = identity(spec, n)
+    base = a
+    while k:
+        if k & 1:
+            out = mat_mul(out, base)
+        base = mat_mul(base, base)
+        k >>= 1
+    return out
+
+
 def _ref_matrix_of_ring(model, r):
     """Sum of c * G_1^e_1 ... G_k^e_k, each power by repeated squaring."""
     out = zeros(model.field, model.dim, model.dim)
@@ -258,6 +273,19 @@ def test_monomial_caches_match_mat_pow(theorem):
             ref = _ref_matrix_of_ring(model, r)
             assert model.matrix_of_ring(r) == ref
             assert model.vector_of_ring(r) == mat_vec(ref, model.w)
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_z_matrix_matches_mat_pow(theorem):
+    model = _theorem_model(theorem)
+    n = model.pres.n
+    for alpha in [(0,) * n, (1,) * n, (3,) * n, (-2,) * n, (4,) + (-1,) * (n - 1)]:
+        ref = identity(model.field, model.dim)
+        for i, e in enumerate(alpha):
+            if e:
+                base = model.x_mats[i] if e > 0 else model.y_mats[i]
+                ref = mat_mul(ref, mat_pow(base, abs(e)))
+        assert model.z_matrix(alpha) == ref
 
 
 @pytest.mark.parametrize("theorem", THEOREMS)
