@@ -7,8 +7,11 @@ is phi(n) integer numerators over one positive common denominator, with no
 common factor.  Products are integer convolutions folded back through a table
 of x^k mod Phi_n, whose entries are integers because Phi_n is monic and
 integral.  The inverse is the product of the other Galois conjugates
-x -> x^u, u a unit mod n, divided by the (rational) norm.  Rational functions
-are reduced fractions of dense Q[q] polynomials with monic denominator.
+x -> x^u, u a unit mod n, divided by the (rational) norm.  An element of Q(q)
+is a pair of dense integer polynomials num/den, coprime in Q[q], with joint
+integer content 1 and a positive leading coefficient of den.  When either side
+is a monomial c q^k, as in every q-power denominator, reducing a result only
+strips a power of q and the content; other pairs take a primitive gcd.
 """
 
 from __future__ import annotations
@@ -31,12 +34,9 @@ FP_KIND = "Fp"
 CYC_KIND = "cyclotomic"
 QQ_KIND = "Q(q)"
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Q, as tuples without trailing zeros
+# dense univariate polynomials over Z, as tuples without trailing zeros
 
 def _ptrim(coeffs):
     n = len(coeffs)
@@ -61,53 +61,56 @@ def _pneg(a):
 def _pmul(a, b):
     if not a or not b:
         return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
         if c:
             for j, d in enumerate(b):
                 out[i + j] += c * d
-    return _ptrim(out)
-
-
-def _pscale(a, c):
-    if not c:
-        return ()
-    return tuple(x * c for x in a)
+    return tuple(out)
 
 
 def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
+    """Quotient and remainder when every quotient coefficient is an integer: for
+    a monic b, a primitive b that divides a (Gauss's lemma), or a pseudo-division."""
     r = list(a)
-    inv_lead = 1 / b[-1]
-    while len(r) >= len(b):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        k = len(r) - len(b)
-        c = r[-1] * inv_lead
-        q[k] = c
-        for i, d in enumerate(b):
-            r[i + k] -= c * d
-        r.pop()
-    return _ptrim(q), _ptrim(r)
+    nb = len(b) - 1
+    q = [0] * max(0, len(r) - nb)
+    while len(r) > nb:
+        c = r.pop()
+        if c:
+            k = len(r) - nb
+            c //= b[-1]
+            q[k] = c
+            for i in range(nb):
+                r[i + k] -= c * b[i]
+    return tuple(q), _ptrim(r)
+
+
+def _primitive(a):
+    """a divided by its content, with a positive leading coefficient."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else tuple(c // g for c in a)
 
 
 def _pgcd(a, b):
+    """The primitive gcd of two nonzero polynomials, by primitive pseudo-remainders."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        a = _pscale(a, 1 / a[-1])
+        # lead(b)^(deg a - deg b + 1) * a has an integral quotient by b
+        s = b[-1] ** max(0, len(a) - len(b) + 1)
+        r = _pdivmod(tuple(c * s for c in a), b)[1]
+        a, b = b, (_primitive(r) if r else ())
     return a
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int):
-    """Phi_n over Q, by dividing x^n - 1 by Phi_d for every proper divisor d."""
+    """Phi_n as integer coefficients, by dividing x^n - 1 by Phi_d for every proper divisor d."""
     if n < 1:
         raise InvalidParameters("cyclotomic index must be positive")
-    poly = _ptrim([-_ONE] + [_ZERO] * (n - 1) + [_ONE])
+    poly = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:
             q, r = _pdivmod(poly, cyclotomic_polynomial(d))
@@ -123,7 +126,7 @@ def _power_table(n: int):
 
     That covers the fold of a product's high terms and, since x^n = 1 mod
     Phi_n, the conjugates x^(i u mod n)."""
-    phi = [int(c) for c in cyclotomic_polynomial(n)]
+    phi = cyclotomic_polynomial(n)
     d = len(phi) - 1
     row = [1] + [0] * (d - 1)
     table = []
@@ -227,10 +230,10 @@ class FieldSpec:
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "FieldElement":
-        return self.from_fraction(_ZERO)
+        return self.from_fraction(Fraction(0))
 
     def one(self) -> "FieldElement":
-        return self.from_fraction(_ONE)
+        return self.from_fraction(Fraction(1))
 
     def from_int(self, k: int) -> "FieldElement":
         return self.from_fraction(Fraction(k))
@@ -246,7 +249,7 @@ class FieldSpec:
             return FieldElement(self, val)
         if self.kind == CYC_KIND:
             return FieldElement(self, ((f.numerator,) + (0,) * (self._degree - 1), f.denominator))
-        return FieldElement(self, ((f,) if f else (), (_ONE,)))
+        return FieldElement(self, ((f.numerator,) if f else (), (f.denominator,)))
 
     def generator(self) -> "FieldElement":
         """zeta_n for cyclotomic fields, q for rational-function fields."""
@@ -256,7 +259,7 @@ class FieldSpec:
                 return self.from_int(1 if self.n == 1 else -1)
             return FieldElement(self, ((0, 1) + (0,) * (self._degree - 2), 1))
         if self.kind == QQ_KIND:
-            return FieldElement(self, ((_ZERO, _ONE), (_ONE,)))
+            return FieldElement(self, ((0, 1), (1,)))
         raise InvalidParameters(f"{self!r} has no distinguished generator")
 
     def gen_symbol(self) -> str:
@@ -368,6 +371,8 @@ class FieldElement:
             return _cyc_element(self.spec, [a * bd + b * ad for a, b in zip(an, bn)], ad * bd)
         n1, d1 = self.payload
         n2, d2 = other.payload
+        if d1 == d2:
+            return _qq_reduce(self.spec, _padd(n1, n2), d1)
         return _qq_reduce(self.spec, _padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
 
     def __neg__(self):
@@ -410,7 +415,7 @@ class FieldElement:
         if k == CYC_KIND:
             return _cyc_inv(self.spec, *self.payload)
         n, d = self.payload
-        return _qq_reduce(self.spec, d, n)
+        return FieldElement(self.spec, (_pneg(d), _pneg(n)) if n[-1] < 0 else (d, n))
 
     def __truediv__(self, other):
         self._check(other)
@@ -457,7 +462,7 @@ class FieldElement:
         n, d = self.payload
         if len(n) > 1 or len(d) > 1:
             raise InvalidParameters(f"{self!r} is not rational")
-        return (n[0] if n else _ZERO) / d[0]
+        return Fraction(n[0] if n else 0, d[0])
 
 
 def _cyc_element(spec, nums, den):
@@ -510,16 +515,23 @@ def _cyc_inv(spec, nums, den):
 
 
 def _qq_reduce(spec, num, den):
-    if not den:
-        raise DivisionByZero("zero denominator in rational function")
+    """The canonical Q(q) element num / den, for integer polynomials num, den."""
     if not num:
-        return FieldElement(spec, ((), (_ONE,)))
-    g = _pgcd(num, den)
-    if len(g) > 1:
-        num = _pdivmod(num, g)[0]
-        den = _pdivmod(den, g)[0]
-    lead = 1 / den[-1]
-    return FieldElement(spec, (_pscale(num, lead), _pscale(den, lead)))
+        return FieldElement(spec, ((), (1,)))
+    if not any(num[:-1]) or not any(den[:-1]):
+        # a monomial c q^k on either side: the gcd is a power of q
+        v = min(next(i for i, c in enumerate(p) if c) for p in (num, den))
+        num, den = num[v:], den[v:]
+    else:
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+    g = gcd(*num, *den)
+    if den[-1] < 0:
+        g = -g
+    if g != 1:
+        num, den = tuple(c // g for c in num), tuple(c // g for c in den)
+    return FieldElement(spec, (num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -634,16 +646,17 @@ def format_scalar(x: FieldElement) -> str:
         nums, den = x.payload
         return _format_poly(_ptrim([Fraction(c, den) for c in nums]), x.spec.gen_symbol())
     num, den = x.payload
+    num = [Fraction(c, den[-1]) for c in num]
     num_s = _format_poly(num, x.spec.gen_name)
-    if den == (_ONE,):
+    if len(den) == 1:
         return num_s
+    den = [Fraction(c, den[-1]) for c in den]
     den_s = _format_poly(den, x.spec.gen_name)
     if len([c for c in num if c]) > 1 or num_s.startswith("-"):
         num_s = f"({num_s})"
     return f"{num_s}/({den_s})"
 
 
-def scalar_needs_parens(x: FieldElement) -> bool:
-    """True when format_scalar(x) must be parenthesized inside a product."""
-    s = format_scalar(x)
+def scalar_needs_parens(s: str) -> bool:
+    """True when a scalar printed as s by format_scalar must be parenthesized inside a product."""
     return any(ch in s[1:] for ch in "+-") or "/" in s or s.startswith("-")

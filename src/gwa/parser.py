@@ -15,7 +15,7 @@ are allowed on scalars and on Laurent ring generators exclusively.
 
 from __future__ import annotations
 
-from .core import GwaElement, GwaPresentation
+from .core import GwaElement, GwaPresentation, gwa_mul
 from .errors import ExprSyntaxError, UnknownSymbol
 from .field import FieldElement, FieldSpec
 from .ring import BaseRing, RingElement
@@ -145,75 +145,35 @@ class _Parser:
         raise ExprSyntaxError(f"expected a value, found {tok.text or 'end of input'!r}", tok.pos)
 
 
-def _scalar_symbols(spec: FieldSpec):
-    sym = spec.gen_symbol()
-    return {sym: spec.generator()} if sym else {}
+_NEGATIVE_EXPONENT = "negative exponents need a Laurent generator or scalar"
 
 
-def parse_scalar(spec: FieldSpec, text: str) -> FieldElement:
-    """Parse field-element text such as "3/7", "zeta3^2+1" or "q^2/(q-1)"."""
-    symbols = _scalar_symbols(spec)
-
-    def ident(name, pos):
-        if name in symbols:
-            return symbols[name]
-        raise UnknownSymbol(f"unknown symbol {name!r}", pos)
-
-    def div(a, b, pos):
-        if b.is_zero():
-            raise ExprSyntaxError("division by zero", pos)
-        return a / b
-
-    def power(a, k, pos):
-        if k < 0 and a.is_zero():
-            raise ExprSyntaxError("negative power of zero", pos)
-        return a ** k
-
-    hooks = {
-        "int": spec.from_int,
-        "ident": ident,
-        "add": lambda a, b: a + b,
-        "sub": lambda a, b: a - b,
-        "mul": lambda a, b: a * b,
-        "neg": lambda a: -a,
-        "div": div,
-        "pow": power,
-    }
-    return _Parser(_tokenize(text), hooks).parse()
-
-
-def parse_ring_element(ring: BaseRing, text: str) -> RingElement:
-    """Parse text over the base ring only (no X/Y generators)."""
-    symbols = _scalar_symbols(ring.field)
+def _ring_hooks(ring: BaseRing) -> dict:
+    """Parser hooks whose values are elements of the base ring."""
+    symbols = {g: ring.gen(g) for g in ring.gens}
+    sym = ring.field.gen_symbol()
+    if sym and sym not in symbols:
+        symbols[sym] = ring.scalar(ring.field.generator())
 
     def ident(name, pos):
-        if name in ring.gens:
-            return ring.gen(name)
-        if name in symbols:
-            return ring.scalar(symbols[name])
-        raise UnknownSymbol(f"unknown symbol {name!r}", pos)
+        value = symbols.get(name)
+        if value is None:
+            raise UnknownSymbol(f"unknown symbol {name!r}", pos)
+        return value
 
     def div(a, b, pos):
-        c = b.as_scalar()
-        if c is None:
-            raise ExprSyntaxError("division is only defined by scalars", pos)
-        if c.is_zero():
-            raise ExprSyntaxError("division by zero", pos)
-        return a * c.inv()
+        return a * _inverse_scalar(b, pos)
 
     def power(a, k, pos):
-        if k >= 0:
-            return a ** k
-        c = a.as_scalar()
-        if c is not None:
-            if c.is_zero():
+        if k < 0:
+            if a.is_zero():
                 raise ExprSyntaxError("negative power of zero", pos)
-            return ring.scalar(c.inv() ** (-k))
-        if a.unit_inverse() is None:
-            raise ExprSyntaxError("negative exponents need a Laurent generator or scalar", pos)
+            a, k = a.unit_inverse(), -k
+            if a is None:
+                raise ExprSyntaxError(_NEGATIVE_EXPONENT, pos)
         return a ** k
 
-    hooks = {
+    return {
         "int": ring.from_int,
         "ident": ident,
         "add": lambda a, b: a + b,
@@ -223,55 +183,76 @@ def parse_ring_element(ring: BaseRing, text: str) -> RingElement:
         "div": div,
         "pow": power,
     }
-    return _Parser(_tokenize(text), hooks).parse()
+
+
+def _inverse_scalar(b, pos) -> FieldElement:
+    """1/b for a divisor b that is a nonzero scalar (ring or algebra element, or None)."""
+    c = b.as_scalar() if b is not None else None
+    if c is None:
+        raise ExprSyntaxError("division is only defined by scalars", pos)
+    if c.is_zero():
+        raise ExprSyntaxError("division by zero", pos)
+    return c.inv()
+
+
+def parse_scalar(spec: FieldSpec, text: str) -> FieldElement:
+    """Parse field-element text such as "3/7", "zeta3^2+1" or "q^2/(q-1)"."""
+    return _Parser(_tokenize(text), _ring_hooks(BaseRing(spec, ()))).parse().as_scalar()
+
+
+def parse_ring_element(ring: BaseRing, text: str) -> RingElement:
+    """Parse text over the base ring only (no X/Y generators)."""
+    return _Parser(_tokenize(text), _ring_hooks(ring)).parse()
 
 
 def parse_element(pres: GwaPresentation, text: str) -> GwaElement:
-    """Parse and normalize an expression in the generalized Weyl algebra."""
-    ring = pres.ring
-    symbols = _scalar_symbols(ring.field)
+    """Parse and normalize an expression in the generalized Weyl algebra.
+
+    Values stay in the base ring R until an X or Y enters: R-by-R operations
+    are ring operations, r * a scales the left coefficients of a, and only
+    a * r and a * b run the normal-form product."""
+    hooks = _ring_hooks(pres.ring)
+    ring_ident, ring_power = hooks["ident"], hooks["pow"]
     x_index = {name: i for i, name in enumerate(pres.x_names)}
     y_index = {name: i for i, name in enumerate(pres.y_names)}
+
+    def lift(a):
+        return pres.embed_ring(a) if isinstance(a, RingElement) else a
 
     def ident(name, pos):
         if name in x_index:
             return pres.X(x_index[name])
         if name in y_index:
             return pres.Y(y_index[name])
-        if name in ring.gens:
-            return pres.embed_ring(ring.gen(name))
-        if name in symbols:
-            return pres.scalar(symbols[name])
-        raise UnknownSymbol(f"unknown symbol {name!r}", pos)
+        return ring_ident(name, pos)
+
+    def mul(a, b):
+        if isinstance(a, RingElement):
+            if isinstance(b, RingElement):
+                return a * b
+            if a.is_zero():
+                return pres.zero()
+            # R is a domain, so no coefficient vanishes
+            return GwaElement(pres, {alpha: a * r for alpha, r in b.terms.items()})
+        return gwa_mul(a, lift(b))
 
     def div(a, b, pos):
-        r = b.as_ring_element()
-        c = r.as_scalar() if r is not None else None
-        if c is None:
-            raise ExprSyntaxError("division is only defined by scalars", pos)
-        if c.is_zero():
-            raise ExprSyntaxError("division by zero", pos)
-        return a.scale(c.inv())
+        c = _inverse_scalar(b.as_ring_element() if isinstance(b, GwaElement) else b, pos)
+        return a * c if isinstance(a, RingElement) else a.scale(c)
 
     def power(a, k, pos):
-        if k >= 0:
-            return a ** k
-        r = a.as_ring_element()
-        if r is None:
-            raise ExprSyntaxError("negative exponents need a Laurent generator or scalar", pos)
-        inv = r.unit_inverse()
-        if inv is None:
-            raise ExprSyntaxError("negative exponents need a Laurent generator or scalar", pos)
-        return pres.embed_ring(inv ** (-k))
+        if k < 0 and isinstance(a, GwaElement):
+            a = a.as_ring_element()
+        if k < 0 and (a is None or a.is_zero()):
+            raise ExprSyntaxError(_NEGATIVE_EXPONENT, pos)
+        return ring_power(a, k, pos)
 
-    hooks = {
-        "int": lambda v: pres.scalar(ring.field.from_int(v)),
+    hooks.update({
         "ident": ident,
-        "add": lambda a, b: a + b,
-        "sub": lambda a, b: a - b,
-        "mul": lambda a, b: a * b,
-        "neg": lambda a: -a,
+        "add": lambda a, b: a + b if type(a) is type(b) else lift(a) + lift(b),
+        "sub": lambda a, b: a - b if type(a) is type(b) else lift(a) - lift(b),
+        "mul": mul,
         "div": div,
         "pow": power,
-    }
-    return _Parser(_tokenize(text), hooks).parse()
+    })
+    return lift(_Parser(_tokenize(text), hooks).parse())

@@ -8,6 +8,8 @@ inverse substitution solved at construction time and the round trip checked.
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import (
     InvalidParameters,
     NonCommutingAutomorphisms,
@@ -31,8 +33,8 @@ class BaseRing:
             raise InvalidParameters("need one Laurent flag per generator")
 
     def __eq__(self, other):
-        return (isinstance(other, BaseRing) and self.field == other.field
-                and self.gens == other.gens and self.laurent == other.laurent)
+        return self is other or (isinstance(other, BaseRing) and self.field == other.field
+                                 and self.gens == other.gens and self.laurent == other.laurent)
 
     def __hash__(self):
         return hash((self.field, self.gens, self.laurent))
@@ -105,7 +107,7 @@ class RingElement:
         self._hash = None
 
     def _check(self, other):
-        if not isinstance(other, RingElement) or other.ring != self.ring:
+        if not isinstance(other, RingElement) or not (other.ring is self.ring or other.ring == self.ring):
             raise RingMismatch("operands live in different rings")
 
     def is_zero(self) -> bool:
@@ -144,7 +146,7 @@ class RingElement:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 s = out.get(e)
                 if s is None:
@@ -169,6 +171,9 @@ class RingElement:
             if inv is None:
                 raise InvalidParameters("negative power of a non-unit")
             return inv ** (-k)
+        if len(self.terms) == 1:
+            (exps, c), = self.terms.items()
+            return RingElement(self.ring, {tuple(e * k for e in exps): c ** k})
         out = self.ring.one()
         base = self
         while k:
@@ -221,20 +226,7 @@ class RingElement:
 
     def substitute(self, images: dict) -> "RingElement":
         """Replace each generator by its image (a RingElement of a target ring)."""
-        target = next(iter(images.values())).ring if images else self.ring
-        out = target.zero()
-        cache = {}
-        for exps, c in self.terms.items():
-            term = target.scalar(c)
-            for name, e in zip(self.ring.gens, exps):
-                if e == 0:
-                    continue
-                key = (name, e)
-                if key not in cache:
-                    cache[key] = images[name] ** e
-                term = term * cache[key]
-            out = out + term
-        return out
+        return _substitute(self, images, {})
 
     def coefficient_of(self, name: str, power: int) -> "RingElement":
         """Coefficient of name^power, an element of the same ring without that generator power."""
@@ -267,6 +259,25 @@ class RingElement:
         return format_ring_element(self)
 
 
+def _substitute(r: RingElement, images: dict, powers: dict) -> RingElement:
+    """r with each generator replaced by its image; powers caches images[g] ** e by (g, e)."""
+    target = next(iter(images.values())).ring if images else r.ring
+    out = target.zero()
+    for exps, c in r.terms.items():
+        term = None
+        for name, e in zip(r.ring.gens, exps):
+            if e == 0:
+                continue
+            power = powers.get((name, e))
+            if power is None:
+                if len(powers) >= APPLY_CACHE_SIZE:
+                    del powers[next(iter(powers))]
+                power = powers[name, e] = images[name] ** e
+            term = power if term is None else term * power
+        out = out + (target.scalar(c) if term is None else term * c)
+    return out
+
+
 def format_ring_element(r: RingElement) -> str:
     if not r.terms:
         return "0"
@@ -282,7 +293,7 @@ def format_ring_element(r: RingElement) -> str:
                 body = mono
             elif cs == "-1":
                 body = "-" + mono
-            elif scalar_needs_parens(c):
+            elif scalar_needs_parens(cs):
                 body = f"({cs})*{mono}"
             else:
                 body = f"{cs}*{mono}"
@@ -308,13 +319,13 @@ def ring_needs_parens(r: RingElement) -> bool:
 # ---------------------------------------------------------------------------
 
 
-APPLY_CACHE_SIZE = 256     # images kept per automorphism, oldest evicted first
+APPLY_CACHE_SIZE = 256     # images (and image powers) kept per automorphism, oldest evicted first
 
 
 class Automorphism:
     """Substitution automorphism of a BaseRing with a stored inverse."""
 
-    __slots__ = ("ring", "images", "inverse_images", "_apply_cache", "_inverse")
+    __slots__ = ("ring", "images", "inverse_images", "_apply_cache", "_powers", "_inverse")
 
     def __init__(self, ring: BaseRing, images: dict, inverse_images: dict | None = None):
         self.ring = ring
@@ -329,6 +340,7 @@ class Automorphism:
             inverse_images = self._solve_inverse()
         self.inverse_images = inverse_images
         self._apply_cache = {}
+        self._powers = {}
         self._inverse = None
         self._verify_inverse()
 
@@ -370,7 +382,7 @@ class Automorphism:
         cache = self._apply_cache
         hit = cache.get(r)
         if hit is None:
-            hit = r.substitute(self.images)
+            hit = _substitute(r, self.images, self._powers)
             if len(cache) >= APPLY_CACHE_SIZE:
                 # bounded memory that follows the current working set
                 del cache[next(iter(cache))]
@@ -378,7 +390,7 @@ class Automorphism:
         return hit
 
     def inverse(self) -> "Automorphism":
-        """The inverse, built once and linked back, so both keep their apply caches."""
+        """The inverse, built once and linked back, so both keep their caches."""
         inv = self._inverse
         if inv is None:
             inv = Automorphism.__new__(Automorphism)
@@ -386,6 +398,7 @@ class Automorphism:
             inv.images = self.inverse_images
             inv.inverse_images = self.images
             inv._apply_cache = {}
+            inv._powers = {}
             inv._inverse = self
             self._inverse = inv
         return inv

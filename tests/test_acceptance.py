@@ -21,7 +21,7 @@ from gwa.catalog import (
     verify_family_facts,
 )
 from gwa.cli import default_grid, main
-from gwa.core import center_generators, format_element, gwa_mul, is_central, oracle_mul, ykxl_collapse
+from gwa.core import center_generators, format_element, gwa_mul, is_central, ykxl_collapse
 from gwa.errors import NotAWhittakerPair
 from gwa.field import cyclotomic_field, prime_field, rational_functions, rationals
 from gwa.ideals import _all_monic, classify_univariate, ideal_equal_gens, is_phi_stable, phi_stable_ideal
@@ -39,6 +39,7 @@ from gwa.whittaker import (
     whittaker_vectors,
 )
 
+from oracle import oracle_mul
 from util import random_gwa_element, random_ring_element
 
 Q = rationals()

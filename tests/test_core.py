@@ -1,21 +1,24 @@
 import random
+import zlib
 
 import pytest
 
+from gwa.catalog import FamilySpec, build_family
 from gwa.core import (
+    GwaElement,
     center_generators,
     format_element,
     gwa_mul,
     is_central,
-    oracle_mul,
     quotient_gwa,
     ykxl_collapse,
 )
-from gwa.errors import ExprSyntaxError, InvalidParameters, TiInIdeal
-from gwa.field import prime_field, rational_functions, rationals
-from gwa.parser import parse_element
+from gwa.errors import ExprSyntaxError, InvalidParameters, TiInIdeal, UnknownSymbol
+from gwa.field import cyclotomic_field, prime_field, rational_functions, rationals
+from gwa.parser import _Parser, _tokenize, parse_element
 from gwa.ring import Automorphism, BaseRing
 
+from oracle import oracle_mul
 from util import random_gwa_element, univariate_affine, weyl1
 
 Q = rationals()
@@ -223,3 +226,151 @@ def test_format_zero_and_one():
     assert format_element(pres.zero()) == "0"
     assert format_element(pres.one()) == "1"
     assert parse_element(pres, "0") == pres.zero()
+
+
+# ---------------------------------------------------------------------------
+# reference parser: every value is a normal-form algebra element, and every
+# '*' runs gwa_mul
+
+
+def reference_parse_element(pres, text):
+    ring = pres.ring
+    sym = ring.field.gen_symbol()
+    symbols = {sym: ring.field.generator()} if sym else {}
+    x_index = {name: i for i, name in enumerate(pres.x_names)}
+    y_index = {name: i for i, name in enumerate(pres.y_names)}
+
+    def ident(name, pos):
+        if name in x_index:
+            return pres.X(x_index[name])
+        if name in y_index:
+            return pres.Y(y_index[name])
+        if name in ring.gens:
+            return pres.embed_ring(ring.gen(name))
+        if name in symbols:
+            return pres.scalar(symbols[name])
+        raise UnknownSymbol(f"unknown symbol {name!r}", pos)
+
+    def div(a, b, pos):
+        r = b.as_ring_element()
+        c = r.as_scalar() if r is not None else None
+        if c is None:
+            raise ExprSyntaxError("division is only defined by scalars", pos)
+        if c.is_zero():
+            raise ExprSyntaxError("division by zero", pos)
+        return a.scale(c.inv())
+
+    def power(a, k, pos):
+        if k >= 0:
+            return a ** k
+        r = a.as_ring_element()
+        if r is None:
+            raise ExprSyntaxError("negative exponents need a Laurent generator or scalar", pos)
+        inv = r.unit_inverse()
+        if inv is None:
+            raise ExprSyntaxError("negative exponents need a Laurent generator or scalar", pos)
+        return pres.embed_ring(inv ** (-k))
+
+    hooks = {
+        "int": lambda v: pres.scalar(ring.field.from_int(v)),
+        "ident": ident,
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": gwa_mul,
+        "neg": lambda a: -a,
+        "div": div,
+        "pow": power,
+    }
+    return _Parser(_tokenize(text), hooks).parse()
+
+
+def _parity_family(name):
+    QQ = rational_functions("q")
+    F5 = prime_field(5)
+    Z6 = cyclotomic_field(6)
+    q_scalars = ["1", "2", "3", "1/2", "2/3"]
+    spec, scalars = {
+        "weyl_A1": (FamilySpec("weyl", Q, {"n": 1}), q_scalars),
+        "weyl_A2": (FamilySpec("weyl", Q, {"n": 2}), q_scalars),
+        "quantum_weyl": (FamilySpec("quantum_weyl", QQ, {"q": QQ.generator()}),
+                         ["1", "2", "3", "q", "(q+1)", "(q^2-q)", "q^-1"]),
+        "smith": (FamilySpec("smith", F5, {"s": [F5.zero(), F5.from_int(2)]}), ["1", "2", "3", "4"]),
+        "quantum_smith": (FamilySpec("quantum_smith", Z6, {"m": 1, "q": Z6.generator()}),
+                          ["1", "2", "3", "zeta6", "(zeta6+1)", "(zeta6^2-1)"]),
+    }[name]
+    return build_family(spec), scalars
+
+
+def _ring_text(rng, ring, scalars, max_degree=3):
+    out = ""
+    for _ in range(rng.randint(1, 2)):
+        left = max_degree
+        factors = [rng.choice(scalars)]
+        for g, laurent in zip(ring.gens, ring.laurent):
+            e = rng.randint(-left, left) if laurent else rng.randint(0, left)
+            left -= abs(e)
+            if e:
+                factors.append(g if e == 1 else f"{g}^{e}")
+        rng.shuffle(factors)
+        out += ("-" if rng.random() < 0.5 else "+") + "*".join(factors)
+    return out[1:] if out[0] == "+" else out
+
+
+def _element_text(rng, pres, scalars):
+    """Random text mixing ring factors and X/Y letters in any order."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [f"({_ring_text(rng, pres.ring, scalars)})"]
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(pres.n)
+            letter = rng.choice((pres.x_names[i], pres.y_names[i]))
+            e = rng.randint(1, 2)
+            factors.append(letter if e == 1 else f"{letter}^{e}")
+        rng.shuffle(factors)
+        text = "*".join(factors)
+        if rng.random() < 0.2:
+            text += "/" + rng.choice(("2", "3", "(1+1)"))
+        if rng.random() < 0.2:
+            text = f"({text})^{rng.randint(0, 2)}"
+        terms.append(text)
+    return rng.choice(("", "-")) + " + ".join(terms)
+
+
+@pytest.mark.parametrize("family", ["weyl_A1", "weyl_A2", "quantum_weyl", "smith", "quantum_smith"])
+def test_parse_matches_reference_parser(family):
+    pres, scalars = _parity_family(family)
+    rng = random.Random(zlib.crc32(family.encode()))
+    for _ in range(40):
+        text = _element_text(rng, pres, scalars)
+        got = parse_element(pres, text)
+        assert got == reference_parse_element(pres, text), text
+        assert isinstance(got, GwaElement) and got.pres is pres
+
+
+PARSE_ERROR_CASES = {
+    "weyl_A1": ["X/t", "t/(t+1)", "1/X", "X/0", "t/(t-t)", "1/(X*Y-Y*X+1)", "X^-1", "Y^-2",
+                "(X*t)^-1", "t^-1", "(t+1)^-2", "0^-1", "(t-t)^-1", "(X-X)^-1", "(X*Y-Y*X+1)^-1",
+                "X + W", "zeta3", "q", "2*", ")"],
+    "quantum_smith": ["K/c", "c/0", "X/K", "(K-K)^-3", "0^-2", "c^-1", "X^-1", "(c*K)^-1",
+                      "(X*K)^-1", "u + K"],
+    "quantum_weyl": ["t/q/(q-q)", "(q-q)^-1", "t^-1", "Y^-1", "p"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(PARSE_ERROR_CASES))
+def test_parse_errors_match_reference_parser(family):
+    pres, _ = _parity_family(family)
+    for text in PARSE_ERROR_CASES[family]:
+        with pytest.raises(ExprSyntaxError) as want:
+            reference_parse_element(pres, text)
+        with pytest.raises(ExprSyntaxError) as got:
+            parse_element(pres, text)
+        assert (type(got.value), str(got.value), got.value.position) == \
+            (type(want.value), str(want.value), want.value.position), text
+
+
+def test_parse_values_match_reference_parser():
+    pres, _ = _parity_family("quantum_smith")
+    for text in ("K^-2*X", "X*K^-2", "(K*X)^0", "2^-1*X", "(-K)^-1*Y", "zeta6^-1", "-X + 3",
+                 "X*Y - Y*X", "K^-1*K", "(c - c)*X", "X*(c - c)", "X/2*K", "(2*K)^-2", "(K^-1)^-2"):
+        assert parse_element(pres, text) == reference_parse_element(pres, text), text

@@ -345,3 +345,132 @@ def test_cyclotomic_matches_reference(n):
             agree(x * y, ref.mul(a, b))
             if any(b):
                 agree(x / y, ref.mul(a, ref.inv(b)))
+
+
+# ---------------------------------------------------------------------------
+# reference Q(q): a pair of Fraction-coefficient polynomials with a monic
+# denominator, reduced by the Euclidean gcd over Q after every operation
+
+
+def _ref_add(a, b):
+    return _ref_sub(a, tuple(-c for c in b))
+
+
+def _ref_reduce(num, den):
+    num, den = _ref_trim(num), _ref_trim(den)
+    if not num:
+        return (), (Fraction(1),)
+    g, r = den, num
+    while r:
+        g, r = r, _ref_divmod(g, r)[1]
+    num, den = _ref_divmod(num, g)[0], _ref_divmod(den, g)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+class RefRational:
+    def add(self, a, b):
+        return _ref_reduce(_ref_add(_ref_pmul(a[0], b[1]), _ref_pmul(b[0], a[1])), _ref_pmul(a[1], b[1]))
+
+    def neg(self, a):
+        return tuple(-c for c in a[0]), a[1]
+
+    def mul(self, a, b):
+        return _ref_reduce(_ref_pmul(a[0], b[0]), _ref_pmul(a[1], b[1]))
+
+    def inv(self, a):
+        return _ref_reduce(a[1], a[0])
+
+    def pow(self, a, k):
+        if k < 0:
+            a, k = self.inv(a), -k
+        out = ((Fraction(1),), (Fraction(1),))
+        for _ in range(k):
+            out = self.mul(out, a)
+        return out
+
+    def format(self, a):
+        num, den = a
+        num_s = _format_poly(num, "q")
+        if den == (1,):
+            return num_s
+        if len([c for c in num if c]) > 1 or num_s.startswith("-"):
+            num_s = f"({num_s})"
+        return f"{num_s}/({_format_poly(den, 'q')})"
+
+
+def _ref_rational_elements():
+    rng = random.Random(zlib.crc32(b"rational functions"))
+    one = Fraction(1)
+
+    def poly(degree):
+        return _ref_trim([Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(degree + 1)])
+
+    out = [((), (one,)), ((one,), (one,)), ((-one,), (one,)), ((Fraction(3, 4),), (one,)),
+           ((0, one), (one,)), ((one,), (0, 0, one))]
+    # q-power denominators c q^k
+    while len(out) < 12:
+        num = poly(rng.randint(0, 3))
+        if num:
+            out.append(_ref_reduce(num, (0,) * rng.randint(0, 3) + (Fraction(rng.randint(1, 5)),)))
+    # general denominators: q - 1, q^2 + 1, 2q + 3, (q - 1)^2, q^2 - q
+    for den in ((-one, one), (one, 0, one), (3 * one, 2 * one), (one, -2 * one, one), (0, -one, one)):
+        for _ in range(2):
+            out.append(_ref_reduce(poly(rng.randint(0, 3)) or (one,), den))
+    return out
+
+
+def test_rational_functions_match_reference():
+    spec = QQ
+    ref = RefRational()
+    q = spec.generator()
+
+    def lib_poly(a):
+        out = spec.zero()
+        for i, c in enumerate(a):
+            out = out + spec.from_fraction(c) * q ** i
+        return out
+
+    def lib(a):
+        return lib_poly(a[0]) / lib_poly(a[1])
+
+    def as_ref(x):
+        num, den = x.payload
+        assert all(type(c) is int for c in num + den)
+        assert den and den[-1] > 0 and num == _ref_trim(num) and gcd(*num, *den) == 1
+        return tuple(Fraction(c, den[-1]) for c in num), tuple(Fraction(c, den[-1]) for c in den)
+
+    def agree(x, a):
+        assert as_ref(x) == a
+        y = lib(a)
+        assert x == y and hash(x) == hash(y)
+
+    spec2 = FieldSpec.from_json(json.loads(json.dumps(spec.to_json())))
+    elements = _ref_rational_elements()
+    for a in elements:
+        x = lib(a)
+        agree(x, a)
+        if not a[0]:
+            assert x.payload == ((), (1,)) and x == spec.zero() and x.is_zero()
+        assert format_scalar(x) == ref.format(a)
+        assert parse_scalar(spec2, format_scalar(x)) == x
+        if len(a[0]) > 1 or len(a[1]) > 1:
+            with pytest.raises(InvalidParameters):
+                x.as_fraction()
+        else:
+            value = a[0][0] if a[0] else Fraction(0)
+            assert x.as_fraction() == value
+            assert spec.from_fraction(value) == x
+        agree(-x, ref.neg(a))
+        for k in (0, 1, 2, 3):
+            agree(x ** k, ref.pow(a, k))
+        if a[0]:
+            agree(x.inv(), ref.inv(a))
+            agree(x ** -2, ref.pow(a, -2))
+        for b in elements:
+            y = lib(b)
+            assert (x == y) == (a == b)
+            agree(x + y, ref.add(a, b))
+            agree(x - y, ref.add(a, ref.neg(b)))
+            agree(x * y, ref.mul(a, b))
+            if b[0]:
+                agree(x / y, ref.mul(a, ref.inv(b)))

@@ -1,10 +1,13 @@
 import random
+import zlib
 
 import pytest
 
 from gwa.errors import InvalidParameters, NonCommutingAutomorphisms, RingMismatch
 from gwa.field import cyclotomic_field, prime_field, rational_functions, rationals
+from gwa.catalog import FamilySpec, build_family
 from gwa.ring import (
+    APPLY_CACHE_SIZE,
     Automorphism,
     BaseRing,
     auto_order,
@@ -12,6 +15,8 @@ from gwa.ring import (
     fixed_subring_generators,
     identity_automorphism,
 )
+
+from util import random_ring_element
 
 Q = rationals()
 
@@ -212,3 +217,52 @@ def test_identity_automorphism():
     R = BaseRing(Q, ["t"])
     assert identity_automorphism(R).is_identity()
     assert identity_automorphism(R).apply(R.gen("t")) == R.gen("t")
+
+
+def _cache_family(name):
+    QQ = rational_functions("q")
+    Z6 = cyclotomic_field(6)
+    F5 = prime_field(5)
+    return build_family({
+        "weyl": FamilySpec("weyl", Q, {"n": 2}),
+        "smith": FamilySpec("smith", F5, {"s": [F5.zero(), F5.from_int(2)]}),
+        "heisenberg": FamilySpec("heisenberg", Q, {"n": 1}),
+        "quantum_smith": FamilySpec("quantum_smith", Z6, {"m": 1, "q": Z6.generator()}),
+        "quantum_weyl": FamilySpec("quantum_weyl", QQ, {"q": QQ.generator()}),
+    }[name])
+
+
+@pytest.mark.parametrize("name", ["weyl", "smith", "heisenberg", "quantum_smith", "quantum_weyl"])
+def test_cached_apply_matches_fresh_substitution(name):
+    pres = _cache_family(name)
+    rng = random.Random(zlib.crc32(name.encode()))
+    first = [random_ring_element(rng, pres.ring, max_degree=4) for _ in range(8)]
+    second = [random_ring_element(rng, pres.ring, max_degree=4) for _ in range(8)]
+
+    def fresh(r, images, k):
+        for _ in range(k):
+            r = r.substitute(images)
+        return r
+
+    # the second round repeats the first round's elements (apply cache hits)
+    # and adds new ones built from the same generator powers (power cache hits)
+    for elements in (first, first + second):
+        for phi in pres.phis:
+            inv = phi.inverse()
+            for r in elements:
+                assert phi.apply(r) == fresh(r, phi.images, 1)
+                assert inv.apply(r) == fresh(r, phi.inverse_images, 1)
+                for k in (1, 2, 3):
+                    assert phi.apply_power(k, r) == fresh(r, phi.images, k)
+                    assert phi.apply_power(-k, r) == fresh(r, phi.inverse_images, k)
+
+
+def test_apply_caches_stay_bounded():
+    F = cyclotomic_field(6)
+    R = BaseRing(F, ["c", "K"], [False, True])
+    q = F.generator()
+    phi = Automorphism(R, {"c": R.gen("c"), "K": R.gen("K") * q})
+    for e in range(-APPLY_CACHE_SIZE, APPLY_CACHE_SIZE + 1):
+        r = R.gen("K", e) + R.gen("c")
+        assert phi.apply(r) == R.gen("K", e) * q ** e + R.gen("c")
+    assert len(phi._apply_cache) <= APPLY_CACHE_SIZE and len(phi._powers) <= APPLY_CACHE_SIZE
