@@ -23,7 +23,7 @@ from .errors import (
     TelescopingUnsolvable,
     UnsupportedFamily,
 )
-from .field import FieldElement, FieldSpec, element_order
+from .field import FieldElement, FieldSpec, cyclotomic_field, element_order, prime_field, rationals
 from .ideals import ideal_equal_gens, phi_stable_closure, phi_stable_ideal
 from .linalg import inverse, mat_eq, mat_mul, mat_vec, rank, solve, zeros
 from .ring import Automorphism, BaseRing, RingElement
@@ -295,6 +295,67 @@ def build_theorem_module(tspec: TheoremModuleSpec):
     if tspec.theorem not in builders:
         raise InvalidParameters(f"unknown theorem id {tspec.theorem!r}")
     return builders[tspec.theorem](tspec)
+
+
+def default_grid(theorem: str) -> list:
+    """The parameter points `gwa verify THEOREM` checks when no --grid is given."""
+    Q = rationals()
+    if theorem == "T8.3":
+        return [
+            TheoremModuleSpec("T8.3", Q, {"alpha": Q.from_int(2), "beta": Q.from_int(b),
+                                          "n": n, "zeta": Q.one()})
+            for b in (0, 1) for n in (1, 2, 3)
+        ]
+    if theorem == "T8.5":
+        Z3 = cyclotomic_field(3)
+        grid = [
+            TheoremModuleSpec("T8.5", Z3, {"alpha": Z3.generator(), "beta": Z3.from_int(b),
+                                           "theta": Z3.from_int(th), "zeta": Z3.one()})
+            for b in (0, 1) for th in (1, 2)
+        ]
+        grid.append(TheoremModuleSpec("T8.5", Z3, {"alpha": Z3.generator(), "beta": Z3.one(),
+                                                   "theta": None, "zeta": Z3.one()}))
+        return grid
+    if theorem == "T8.7":
+        out = []
+        for p in (3, 5):
+            F = prime_field(p)
+            for lam in (0, 1):
+                for z in (1, 2):
+                    out.append(TheoremModuleSpec("T8.7", F, {
+                        "beta": F.one(), "lam": F.from_int(lam), "zeta": F.from_int(z)}))
+        return out
+    if theorem == "T8.9":
+        out = []
+        for p in (3, 5):
+            F = prime_field(p)
+            for lam in (0, 1):
+                for z in (1, 2):
+                    out.append(TheoremModuleSpec("T8.9", F, {
+                        "lam": F.from_int(lam), "zeta": F.from_int(z)}))
+        return out
+    if theorem == "T9":
+        out = []
+        for p in (3, 5):
+            F = prime_field(p)
+            s = [F.zero(), F.from_int(2)]
+            for th in (0, 1):
+                for lam in (0, 1):
+                    out.append(TheoremModuleSpec("T9", F, {
+                        "s": s, "theta": F.from_int(th), "lam": F.from_int(lam),
+                        "zeta": F.one()}))
+        return out
+    if theorem == "T10":
+        Z6 = cyclotomic_field(6)
+        q = Z6.generator()
+        out = []
+        for th in (0, 1):
+            for lam in (1, 2):
+                out.append(TheoremModuleSpec("T10", Z6, {
+                    "m": 1, "q": q, "theta": Z6.from_int(th),
+                    "lam": Z6.from_int(lam), "zeta": Z6.one()}))
+        return out
+    raise InvalidParameters(f"unknown theorem id {theorem!r}")
 
 
 def _require(cond: bool, message: str):
@@ -709,8 +770,6 @@ def uqsl2_equals_quantum_smith(field: FieldSpec, q: FieldElement) -> bool:
 def smith_weyl_correspondence(p: int, lam: FieldElement, zeta: FieldElement) -> bool:
     """Setting theta = 0 in the Smith module for s = -1 (r = -2x) recovers the
     characteristic-p Weyl module after t' = h + 1 and a shift of lambda."""
-    from .field import prime_field
-
     field = prime_field(p)
     s = [field.from_int(-1)]
     smith_spec = TheoremModuleSpec("T9", field, {

@@ -24,6 +24,7 @@ from .catalog import (
     TheoremModuleSpec,
     build_family,
     build_theorem_module,
+    default_grid,
     verify_family_facts,
 )
 from .core import GwaPresentation, center_generators, format_element
@@ -35,7 +36,7 @@ from .errors import (
     NotPhiStable,
     UnsupportedRing,
 )
-from .field import FieldSpec, format_scalar, prime_field, cyclotomic_field, rationals
+from .field import FieldSpec, format_scalar, prime_field, cyclotomic_field
 from .ideals import (
     classify_univariate,
     ideal_membership_gens,
@@ -286,66 +287,6 @@ def cmd_module(args) -> int:
 
 
 # -- theorem verification -----------------------------------------------------
-
-
-def default_grid(theorem: str) -> list:
-    Q = rationals()
-    if theorem == "T8.3":
-        return [
-            TheoremModuleSpec("T8.3", Q, {"alpha": Q.from_int(2), "beta": Q.from_int(b),
-                                          "n": n, "zeta": Q.one()})
-            for b in (0, 1) for n in (1, 2, 3)
-        ]
-    if theorem == "T8.5":
-        Z3 = cyclotomic_field(3)
-        grid = [
-            TheoremModuleSpec("T8.5", Z3, {"alpha": Z3.generator(), "beta": Z3.from_int(b),
-                                           "theta": Z3.from_int(th), "zeta": Z3.one()})
-            for b in (0, 1) for th in (1, 2)
-        ]
-        grid.append(TheoremModuleSpec("T8.5", Z3, {"alpha": Z3.generator(), "beta": Z3.one(),
-                                                   "theta": None, "zeta": Z3.one()}))
-        return grid
-    if theorem == "T8.7":
-        out = []
-        for p in (3, 5):
-            F = prime_field(p)
-            for lam in (0, 1):
-                for z in (1, 2):
-                    out.append(TheoremModuleSpec("T8.7", F, {
-                        "beta": F.one(), "lam": F.from_int(lam), "zeta": F.from_int(z)}))
-        return out
-    if theorem == "T8.9":
-        out = []
-        for p in (3, 5):
-            F = prime_field(p)
-            for lam in (0, 1):
-                for z in (1, 2):
-                    out.append(TheoremModuleSpec("T8.9", F, {
-                        "lam": F.from_int(lam), "zeta": F.from_int(z)}))
-        return out
-    if theorem == "T9":
-        out = []
-        for p in (3, 5):
-            F = prime_field(p)
-            s = [F.zero(), F.from_int(2)]
-            for th in (0, 1):
-                for lam in (0, 1):
-                    out.append(TheoremModuleSpec("T9", F, {
-                        "s": s, "theta": F.from_int(th), "lam": F.from_int(lam),
-                        "zeta": F.one()}))
-        return out
-    if theorem == "T10":
-        Z6 = cyclotomic_field(6)
-        q = Z6.generator()
-        out = []
-        for th in (0, 1):
-            for lam in (1, 2):
-                out.append(TheoremModuleSpec("T10", Z6, {
-                    "m": 1, "q": q, "theta": Z6.from_int(th),
-                    "lam": Z6.from_int(lam), "zeta": Z6.one()}))
-        return out
-    raise InvalidParameters(f"unknown theorem id {theorem!r}")
 
 
 def _grid_from_json(theorem: str, text: str) -> list:

@@ -215,9 +215,6 @@ class GwaElement:
             return -1
         return max(sum(abs(e) for e in a) + r.degree() for a, r in self.terms.items())
 
-    def constant_coefficient(self) -> RingElement:
-        return self.terms.get((0,) * self.pres.n, self.pres.ring.zero())
-
     def as_ring_element(self):
         """The coefficient of Z^0 when no other term is present, else None."""
         if not self.terms:

@@ -1,7 +1,12 @@
 """Exact coefficient fields: Q, F_p, cyclotomic Q(zeta_n), and rational functions Q(q).
 
 Every element is kept in a canonical form, so equality is structural and
-arithmetic is exact.  Cyclotomic fields are residue rings Q[x]/Phi_n(x) with
+arithmetic is exact.  Each FieldSpec builds its payload arithmetic once, as the
+op table `ops` = (add, mul, neg, inv, is_zero); a FieldElement wraps a payload
+and calls that table, and the linalg kernels call it on raw payloads.  An
+element of Q is a pair (num, den) of ints with gcd 1 and den > 0; Fraction
+appears only at the boundaries (from_fraction, as_fraction).  An element of
+F_p is an int in [0, p).  Cyclotomic fields are residue rings Q[x]/Phi_n(x) with
 Phi_n obtained by repeated exact division of x^n - 1.  An element of Q(zeta_n)
 is phi(n) integer numerators over one positive common denominator, with no
 common factor.  Products are integer convolutions folded back through a table
@@ -183,7 +188,7 @@ def _prime_factors(n: int):
 class FieldSpec:
     """Identifies one of the supported coefficient fields."""
 
-    __slots__ = ("kind", "p", "n", "gen_name", "_degree", "_xpow", "_units")
+    __slots__ = ("kind", "p", "n", "gen_name", "_degree", "_xpow", "_units", "ops")
 
     def __init__(self, kind, p=None, n=None, gen_name=None):
         self.kind = kind
@@ -191,24 +196,38 @@ class FieldSpec:
         self.n = n
         self.gen_name = gen_name
         self._degree = None
-        if kind == FP_KIND:
+        if kind == Q_KIND:
+            self.ops = (_q_add, _q_mul, lambda a: (-a[0], a[1]),
+                        lambda a: (a[1], a[0]) if a[0] > 0 else (-a[1], -a[0]), lambda a: a[0] == 0)
+        elif kind == FP_KIND:
             if not is_prime(p):
                 raise InvalidParameters(f"{p} is not prime")
+            self.ops = (lambda a, b: (a + b) % p, lambda a, b: a * b % p, lambda a: -a % p,
+                        lambda a: pow(a, p - 2, p), lambda a: a == 0)
         elif kind == CYC_KIND:
             self._degree = len(cyclotomic_polynomial(n)) - 1
             self._xpow = _power_table(n)
             # the Galois automorphisms zeta -> zeta^u other than the identity
             self._units = tuple(u for u in range(2, n) if gcd(u, n) == 1)
+            self.ops = (_cyc_add, lambda a, b: _cyc_element(_cyc_mulmod(self, a[0], b[0]), a[1] * b[1]),
+                        _neg_numerator, lambda a: _cyc_inv(self, *a), lambda a: not any(a[0]))
         elif kind == QQ_KIND:
             if not gen_name:
                 raise InvalidParameters("rational-function field needs a generator name")
-        elif kind != Q_KIND:
+            self.ops = (_qq_add, lambda a, b: _qq_reduce(_pmul(a[0], b[0]), _pmul(a[1], b[1])), _neg_numerator,
+                        lambda a: (_pneg(a[1]), _pneg(a[0])) if a[0][-1] < 0 else (a[1], a[0]),
+                        lambda a: not a[0])
+        else:
             raise InvalidParameters(f"unknown field kind {kind!r}")
 
     def __eq__(self, other):
         return self is other or (isinstance(other, FieldSpec)
                 and (self.kind, self.p, self.n, self.gen_name)
                 == (other.kind, other.p, other.n, other.gen_name))
+
+    def __reduce__(self):
+        # pickle by parameters: the op table holds closures
+        return FieldSpec, (self.kind, self.p, self.n, self.gen_name)
 
     def __hash__(self):
         # hash(None) is the object's address before Python 3.12, so absent
@@ -240,7 +259,7 @@ class FieldSpec:
 
     def from_fraction(self, f: Fraction) -> "FieldElement":
         if self.kind == Q_KIND:
-            return FieldElement(self, f)
+            return FieldElement(self, (f.numerator, f.denominator))
         if self.kind == FP_KIND:
             den = f.denominator % self.p
             if den == 0:
@@ -337,12 +356,7 @@ class FieldElement:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        k = self.spec.kind
-        if k == Q_KIND or k == FP_KIND:
-            return self.payload == 0
-        if k == CYC_KIND:
-            return not any(self.payload[0])
-        return not self.payload[0]
+        return self.spec.ops[4](self.payload)
 
     def is_one(self) -> bool:
         return self == self.spec.one()
@@ -359,63 +373,26 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
-        k = self.spec.kind
-        if k == Q_KIND:
-            return FieldElement(self.spec, self.payload + other.payload)
-        if k == FP_KIND:
-            return FieldElement(self.spec, (self.payload + other.payload) % self.spec.p)
-        if k == CYC_KIND:
-            (an, ad), (bn, bd) = self.payload, other.payload
-            if ad == bd:
-                return _cyc_element(self.spec, [a + b for a, b in zip(an, bn)], ad)
-            return _cyc_element(self.spec, [a * bd + b * ad for a, b in zip(an, bn)], ad * bd)
-        n1, d1 = self.payload
-        n2, d2 = other.payload
-        if d1 == d2:
-            return _qq_reduce(self.spec, _padd(n1, n2), d1)
-        return _qq_reduce(self.spec, _padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+        spec = self.spec
+        return FieldElement(spec, spec.ops[0](self.payload, other.payload))
 
     def __neg__(self):
-        k = self.spec.kind
-        if k == Q_KIND:
-            return FieldElement(self.spec, -self.payload)
-        if k == FP_KIND:
-            return FieldElement(self.spec, -self.payload % self.spec.p)
-        if k == CYC_KIND:
-            nums, den = self.payload
-            return FieldElement(self.spec, (tuple(-c for c in nums), den))
-        n, d = self.payload
-        return FieldElement(self.spec, (_pneg(n), d))
+        spec = self.spec
+        return FieldElement(spec, spec.ops[2](self.payload))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        k = self.spec.kind
-        if k == Q_KIND:
-            return FieldElement(self.spec, self.payload * other.payload)
-        if k == FP_KIND:
-            return FieldElement(self.spec, self.payload * other.payload % self.spec.p)
-        if k == CYC_KIND:
-            (an, ad), (bn, bd) = self.payload, other.payload
-            return _cyc_element(self.spec, _cyc_mulmod(self.spec, an, bn), ad * bd)
-        n1, d1 = self.payload
-        n2, d2 = other.payload
-        return _qq_reduce(self.spec, _pmul(n1, n2), _pmul(d1, d2))
+        spec = self.spec
+        return FieldElement(spec, spec.ops[1](self.payload, other.payload))
 
     def inv(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        k = self.spec.kind
-        if k == Q_KIND:
-            return FieldElement(self.spec, 1 / self.payload)
-        if k == FP_KIND:
-            return FieldElement(self.spec, pow(self.payload, self.spec.p - 2, self.spec.p))
-        if k == CYC_KIND:
-            return _cyc_inv(self.spec, *self.payload)
-        n, d = self.payload
-        return FieldElement(self.spec, (_pneg(d), _pneg(n)) if n[-1] < 0 else (d, n))
+        spec = self.spec
+        return FieldElement(spec, spec.ops[3](self.payload))
 
     def __truediv__(self, other):
         self._check(other)
@@ -451,7 +428,7 @@ class FieldElement:
         """The value as a rational number, when the element is rational."""
         k = self.spec.kind
         if k == Q_KIND:
-            return self.payload
+            return Fraction(*self.payload)
         if k == FP_KIND:
             return Fraction(self.payload)
         if k == CYC_KIND:
@@ -465,14 +442,44 @@ class FieldElement:
         return Fraction(n[0] if n else 0, d[0])
 
 
-def _cyc_element(spec, nums, den):
-    """The canonical Q(zeta_n) element nums / den, for den > 0."""
+def _q_add(a, b):
+    (an, ad), (bn, bd) = a, b
+    if ad == 1 and bd == 1:
+        return (an + bn, 1)
+    n, d = (an + bn, ad) if ad == bd else (an * bd + bn * ad, ad * bd)
+    g = gcd(n, d)
+    return (n, d) if g == 1 else (n // g, d // g)
+
+
+def _q_mul(a, b):
+    (an, ad), (bn, bd) = a, b
+    if ad == 1 and bd == 1:
+        return (an * bn, 1)
+    # cross-cancel: an/ad and bn/bd are in lowest terms, and zero is 0/1
+    g, h = gcd(an, bd), gcd(bn, ad)
+    return (an // g) * (bn // h), (ad // h) * (bd // g)
+
+
+def _neg_numerator(a):
+    """neg for Q(zeta_n) and Q(q), whose payloads are (integer tuple, denominator)."""
+    return (_pneg(a[0]), a[1])
+
+
+def _cyc_element(nums, den):
+    """The canonical Q(zeta_n) payload nums / den, for den > 0."""
     if den != 1:
         g = gcd(den, *nums)
         if g != 1:
             nums = [c // g for c in nums]
             den //= g
-    return FieldElement(spec, (tuple(nums), den))
+    return (tuple(nums), den)
+
+
+def _cyc_add(a, b):
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return _cyc_element([x + y for x, y in zip(an, bn)], ad)
+    return _cyc_element([x * bd + y * ad for x, y in zip(an, bn)], ad * bd)
 
 
 def _cyc_mulmod(spec, a, b) -> list:
@@ -510,14 +517,21 @@ def _cyc_inv(spec, nums, den):
     if any(norm[1:]):
         raise InternalConsistencyError("the norm of a cyclotomic element is rational")
     if norm[0] < 0:
-        return _cyc_element(spec, [-den * c for c in prod], -norm[0])
-    return _cyc_element(spec, [den * c for c in prod], norm[0])
+        return _cyc_element([-den * c for c in prod], -norm[0])
+    return _cyc_element([den * c for c in prod], norm[0])
 
 
-def _qq_reduce(spec, num, den):
-    """The canonical Q(q) element num / den, for integer polynomials num, den."""
+def _qq_add(a, b):
+    (n1, d1), (n2, d2) = a, b
+    if d1 == d2:
+        return _qq_reduce(_padd(n1, n2), d1)
+    return _qq_reduce(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+
+
+def _qq_reduce(num, den):
+    """The canonical Q(q) payload num / den, for integer polynomials num, den."""
     if not num:
-        return FieldElement(spec, ((), (1,)))
+        return ((), (1,))
     if not any(num[:-1]) or not any(den[:-1]):
         # a monomial c q^k on either side: the gcd is a power of q
         v = min(next(i for i, c in enumerate(p) if c) for p in (num, den))
@@ -531,7 +545,7 @@ def _qq_reduce(spec, num, den):
         g = -g
     if g != 1:
         num, den = tuple(c // g for c in num), tuple(c // g for c in den)
-    return FieldElement(spec, (num, den))
+    return (num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +653,8 @@ def format_scalar(x: FieldElement) -> str:
     """Canonical text form: "3/7", "zeta3^2+1", "q^2/(q-1)"."""
     kind = x.spec.kind
     if kind == Q_KIND:
-        return _format_fraction(x.payload)
+        num, den = x.payload
+        return str(num) if den == 1 else f"{num}/{den}"
     if kind == FP_KIND:
         return str(x.payload)
     if kind == CYC_KIND:

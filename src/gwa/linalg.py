@@ -1,10 +1,11 @@
 """Exact linear algebra over a coefficient field.
 
-Matrices are lists of rows of FieldElement.  The one elimination engine is
-RowSpace, an incremental span that keeps its reduced row echelon rows sparse,
-as {column: scalar} maps.  A span's reduced echelon form is unique, so rank,
-kernel_basis, solve and inverse read their answers off the RowSpace of the rows.
-linear_relations(images, spec) is the kernel primitive: the basis of
+Matrices are lists of rows of FieldElement; the kernels run on raw payloads
+through the field's op table and wrap each result once.  The one elimination
+engine is RowSpace, an incremental span that keeps its reduced row echelon rows
+sparse, as {column: payload} maps.  A span's reduced echelon form is unique, so
+rank, kernel_basis, solve and inverse read their answers off the RowSpace of
+the rows.  linear_relations(images, spec) is the kernel primitive: the basis of
 {c : sum_j c_j images[j] = 0} that kernel_basis gives for the matrix whose
 columns are the images, each a dense list or a sparse {coordinate: scalar}
 dict; with no nonzero coordinate it is the identity basis.
@@ -12,7 +13,7 @@ dict; with no nonzero coordinate it is the identity basis.
 
 from __future__ import annotations
 
-from .errors import InvalidParameters
+from .errors import FieldMismatch, InvalidParameters
 from .field import FieldElement, FieldSpec
 
 
@@ -33,37 +34,38 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    zero = a[0][0].spec.zero()
+def _nonzero_payloads(items, spec: FieldSpec) -> list:
+    """(key, payload) of the nonzero scalars among (key, scalar) items, which
+    must all lie in spec."""
+    is_zero = spec.ops[4]
     out = []
-    for i in range(n):
-        row_a = a[i]
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                x = row_a[t]
-                if x.is_zero():
-                    continue
-                term = x * b[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else zero)
-        out.append(row)
+    for j, x in items:
+        if x.spec is not spec and x.spec != spec:
+            raise FieldMismatch(f"operands live in different fields: {spec!r} vs {x.spec!r}")
+        if not is_zero(x.payload):
+            out.append((j, x.payload))
+    return out
+
+
+def mat_mul(a, b):
+    spec = b[0][0].spec
+    add, mul = spec.ops[:2]
+    zero = spec.zero()
+    m = len(b[0])
+    b = [_nonzero_payloads(enumerate(row), spec) for row in b]
+    out = []
+    for row in a:
+        acc = [None] * m
+        for t, x in _nonzero_payloads(enumerate(row), spec):
+            for j, y in b[t]:
+                s = acc[j]
+                acc[j] = mul(x, y) if s is None else add(s, mul(x, y))
+        out.append([zero if s is None else FieldElement(spec, s) for s in acc])
     return out
 
 
 def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = None
-        for x, y in zip(row, v):
-            if x.is_zero() or y.is_zero():
-                continue
-            term = x * y
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else v[0].spec.zero())
-    return out
+    return mat_mul([v], transpose(a))[0] if a else []
 
 
 def mat_eq(a, b) -> bool:
@@ -161,25 +163,26 @@ class RowSpace:
     """Incrementally built row space with membership testing.
 
     The basis is kept in reduced row echelon form, one sparse row
-    {column: FieldElement} per pivot column, with a one at its pivot and zeros
+    {column: payload} per pivot column, with a one at its pivot and zeros
     (absent keys) at every other pivot.  Vectors may be given dense, as lists
-    of `width` scalars, or sparse, as {column: scalar} dicts.
+    of `width` scalars, or sparse, as {column: scalar} dicts.  `by_pivot` is a
+    read-only view of the same rows with FieldElement entries, built on first
+    read and dropped whenever the space grows.
     """
 
     def __init__(self, spec: FieldSpec, width: int):
         self.spec = spec
         self.width = width
-        self.by_pivot = {}      # pivot column -> sparse reduced row
+        self._rows = {}         # pivot column -> sparse reduced row of payloads
+        self._view = None
 
     def _reduce(self, v) -> dict:
-        if isinstance(v, dict):
-            v = {j: x for j, x in v.items() if not x.is_zero()}
-        else:
-            v = {j: x for j, x in enumerate(v) if not x.is_zero()}
+        v = dict(_nonzero_payloads(v.items() if isinstance(v, dict) else enumerate(v), self.spec))
         # a reduced row is zero at every other pivot, so clearing one pivot
         # never refills another: one pass over the pivots in the support does
-        for p in [j for j in v if j in self.by_pivot]:
-            _sub_multiple(v, v[p], self.by_pivot[p])
+        rows, ops = self._rows, self.spec.ops
+        for p in [j for j in v if j in rows]:
+            _sub_multiple(v, v[p], rows[p], ops)
         return v
 
     def add(self, v) -> bool:
@@ -187,22 +190,32 @@ class RowSpace:
         v = self._reduce(v)
         if not v:
             return False
+        ops = self.spec.ops
         pivot = min(v)
-        inv = v[pivot].inv()
-        v = {j: x * inv for j, x in v.items()}
-        for row in self.by_pivot.values():
+        inv = ops[3](v[pivot])
+        v = {j: ops[1](x, inv) for j, x in v.items()}
+        for row in self._rows.values():
             f = row.get(pivot)
             if f is not None:
-                _sub_multiple(row, f, v)
-        self.by_pivot[pivot] = v
+                _sub_multiple(row, f, v, ops)
+        self._rows[pivot] = v
+        self._view = None
         return True
 
     def contains(self, v) -> bool:
         return not self._reduce(v)
 
     @property
+    def by_pivot(self) -> dict:
+        """pivot column -> sparse reduced row {column: FieldElement}."""
+        if self._view is None:
+            self._view = {p: {j: FieldElement(self.spec, x) for j, x in row.items()}
+                          for p, row in self._rows.items()}
+        return self._view
+
+    @property
     def pivots(self) -> list:
-        return sorted(self.by_pivot)
+        return sorted(self._rows)
 
     @property
     def rows(self) -> list:
@@ -218,22 +231,23 @@ class RowSpace:
 
     @property
     def dim(self) -> int:
-        return len(self.by_pivot)
+        return len(self._rows)
 
     def equals(self, other: "RowSpace") -> bool:
         return self.dim == other.dim and all(other.contains(r) for r in self.by_pivot.values())
 
 
-def _sub_multiple(v: dict, f: FieldElement, row: dict) -> None:
-    """v -= f * row in place, dropping entries that cancel."""
-    f = -f
+def _sub_multiple(v: dict, f, row: dict, ops) -> None:
+    """v -= f * row in place on payloads, dropping entries that cancel."""
+    add, mul, neg, _, is_zero = ops
+    f = neg(f)
     for j, y in row.items():
         x = v.get(j)
         if x is None:
-            v[j] = f * y
+            v[j] = mul(f, y)
         else:
-            x = x + f * y
-            if x.is_zero():
+            x = add(x, mul(f, y))
+            if is_zero(x):
                 del v[j]
             else:
                 v[j] = x

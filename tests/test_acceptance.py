@@ -15,12 +15,13 @@ from gwa.catalog import (
     TheoremModuleSpec,
     build_family,
     build_theorem_module,
+    default_grid,
     smith_weyl_correspondence,
     tilde_t,
     uqsl2_equals_quantum_smith,
     verify_family_facts,
 )
-from gwa.cli import default_grid, main
+from gwa.cli import main
 from gwa.core import center_generators, format_element, gwa_mul, is_central, ykxl_collapse
 from gwa.errors import NotAWhittakerPair
 from gwa.field import cyclotomic_field, prime_field, rational_functions, rationals

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from gwa.cli import build_arg_parser, default_grid, main
+from gwa.catalog import default_grid
+from gwa.cli import build_arg_parser, main
 from gwa.core import format_element
 from gwa.parser import parse_element
 
@@ -53,6 +54,14 @@ def test_normalize_parse_error_exit2(config, capsys):
     code, _, err = run(capsys, "--config", path, "normalize", "X^-1")
     assert code == 2
     assert "position" in err
+
+
+def test_normalize_superscript_digit_is_parse_error(config, capsys):
+    # "²" is a digit to str.isdigit but not a decimal, so int() must never see it
+    path = config(WEYL1)
+    code, out, err = run(capsys, "--config", path, "normalize", "\u00b2*X")
+    assert code == 2 and out == ""
+    assert "unexpected character" in err and "position 0" in err
 
 
 def test_normalize_config_error_exit3(capsys, tmp_path):

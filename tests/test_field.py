@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -178,6 +179,13 @@ def test_spec_json_round_trip():
         assert FieldSpec.from_json(spec.to_json()) == spec
 
 
+def test_pickle_round_trip():
+    for spec in ALL_SPECS:
+        x = spec.sample_pool()[-1]
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and y.spec == spec and (y * y + y).inv() == (x * x + x).inv()
+
+
 def test_pow_negative():
     q = QQ.generator()
     assert q ** -2 * q ** 2 == QQ.one()
@@ -345,6 +353,67 @@ def test_cyclotomic_matches_reference(n):
             agree(x * y, ref.mul(a, b))
             if any(b):
                 agree(x / y, ref.mul(a, ref.inv(b)))
+
+
+# ---------------------------------------------------------------------------
+# reference Q: fractions.Fraction
+
+
+def _ref_rationals():
+    rng = random.Random(zlib.crc32(b"rationals"))
+    out = [Fraction(0), Fraction(1), Fraction(-1), Fraction(7), Fraction(-12), Fraction(3, 4),
+           Fraction(10 ** 30 + 7, 3), Fraction(-(2 ** 70), 10 ** 25 + 1), Fraction(5, -15)]
+    while len(out) < 20:
+        den = rng.choice((1, 1, 2, 3, 6, -4, rng.randint(1, 10 ** 9)))
+        out.append(Fraction(rng.randint(-10 ** 9, 10 ** 9), den))
+    return out
+
+
+def test_rationals_match_reference():
+    spec2 = FieldSpec.from_json(json.loads(json.dumps(Q.to_json())))
+
+    def agree(x, f):
+        num, den = x.payload
+        assert (num, den) == (f.numerator, f.denominator) and den > 0 and gcd(num, den) == 1
+        assert x.as_fraction() == f and format_scalar(x) == str(f)
+        y = Q.from_fraction(f)
+        assert x == y and hash(x) == hash(y)
+
+    elements = _ref_rationals()
+    for f in elements:
+        x = Q.from_fraction(f)
+        agree(x, f)
+        # Fraction moves the sign of a negative denominator to the numerator
+        agree(Q.from_fraction(Fraction(-2 * f.numerator, -2 * f.denominator)), f)
+        if f.denominator == 1:
+            agree(Q.from_int(f.numerator), f)
+        assert x.is_zero() == (f == 0) and bool(x) == bool(f)
+        assert parse_scalar(spec2, format_scalar(x)) == x
+        agree(-x, -f)
+        for k in (0, 1, 2, 3, 5):
+            agree(x ** k, f ** k)
+        if f:
+            agree(x.inv(), 1 / f)
+            agree(x ** -3, f ** -3)
+        else:
+            with pytest.raises(DivisionByZero):
+                x.inv()
+        for g in elements:
+            y = Q.from_fraction(g)
+            assert (x == y) == (f == g)
+            agree(x + y, f + g)
+            agree(x - y, f - g)
+            agree(x * y, f * g)
+            if g:
+                agree(x / y, f / g)
+    # equal values built by different routes are equal and hash alike
+    half = Q.from_fraction(Fraction(2, 4))
+    for other in (Q.one() / Q.from_int(2), Q.from_int(3) * Q.from_fraction(Fraction(1, 6)),
+                  Q.from_fraction(Fraction(3, 4)) - Q.from_fraction(Fraction(1, 4)),
+                  Q.from_int(2).inv(), Q.from_fraction(Fraction(-1, -2))):
+        assert other == half and hash(other) == hash(half) and other.payload == (1, 2)
+    zero = Q.from_fraction(Fraction(5, 7)) - Q.from_fraction(Fraction(10, 14))
+    assert zero.payload == (0, 1) and zero == Q.zero() and hash(zero) == hash(Q.zero())
 
 
 # ---------------------------------------------------------------------------

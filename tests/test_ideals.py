@@ -564,7 +564,7 @@ def test_groebner_matches_sympy_over_q():
         syms = sympy.symbols(ring.gens)
 
         def to_sympy(r):
-            return sum(sympy.Rational(c.payload.numerator, c.payload.denominator)
+            return sum(sympy.Rational(c.as_fraction().numerator, c.as_fraction().denominator)
                        * sympy.Mul(*[s ** e for s, e in zip(syms, exps)])
                        for exps, c in r.terms.items())
 

@@ -5,6 +5,8 @@ and `rref` with its callers `rank`, `kernel_basis`, `solve` and `inverse` is the
 dense elimination the library used before everything went through RowSpace.
 Reduced row echelon form is unique for a given span, so the library and the
 references must agree on every return value, whatever order the vectors come in.
+`mat_mul` and `mat_vec` here are the FieldElement-level products the library
+used before its kernels ran on raw payloads.
 """
 
 import random
@@ -14,14 +16,17 @@ import pytest
 
 import gwa.linalg as linalg
 import gwa.whittaker
-from gwa.errors import InvalidParameters
-from gwa.field import FieldSpec, cyclotomic_field, prime_field, rationals
+from gwa.errors import FieldMismatch, InvalidParameters
+from gwa.field import FieldElement, FieldSpec, cyclotomic_field, prime_field, rational_functions, rationals
 from gwa.linalg import RowSpace, identity, transpose
 from gwa.whittaker import build_module, endo_ring, is_simple
 
 from util import univariate_affine
 
 FIELDS = [rationals(), prime_field(5), cyclotomic_field(6)]
+# the row-space and product references also run over Q(q), whose payloads are
+# polynomial pairs rather than integers
+ALL_FIELDS = FIELDS + [rational_functions("q")]
 
 
 class DenseRowSpace:
@@ -123,7 +128,7 @@ def assert_same(space, ref):
     assert space.rows == ref.rows
 
 
-@pytest.mark.parametrize("spec", FIELDS, ids=str)
+@pytest.mark.parametrize("spec", ALL_FIELDS, ids=str)
 def test_rowspace_matches_dense_reference(spec):
     rng = random.Random(8311)
     for trial in range(12):
@@ -144,7 +149,7 @@ def test_rowspace_matches_dense_reference(spec):
             assert space.contains(row)
 
 
-@pytest.mark.parametrize("spec", FIELDS, ids=str)
+@pytest.mark.parametrize("spec", ALL_FIELDS, ids=str)
 def test_rowspace_equals_matches_reference(spec):
     rng = random.Random(2718)
     for trial in range(10):
@@ -167,6 +172,36 @@ def test_rowspace_equals_matches_reference(spec):
         if trial % 2 == 0:
             assert a.equals(b)
             assert_same(a, b)
+
+
+@pytest.mark.parametrize("spec", ALL_FIELDS, ids=str)
+def test_rowspace_views_follow_every_insert(spec):
+    """by_pivot and rows read between inserts always show the current rows, so
+    a view kept from before a growing insert would fail here."""
+    rng = random.Random(zlib.crc32(f"views {spec!r}".encode()))
+    for trial in range(6):
+        width = rng.randint(1, 12)
+        space, ref = RowSpace(spec, width), DenseRowSpace(spec, width)
+        for v in vector_stream(rng, spec, width, rng.randint(2, 10)):
+            assert space.by_pivot == {p: sparse(row) for p, row in zip(ref.pivots, ref.rows)}
+            assert space.rows == ref.rows
+            assert space.add(sparse(v)) == ref.add(v)
+            assert all(isinstance(x, FieldElement) and x.spec == spec
+                       for row in space.by_pivot.values() for x in row.values())
+            assert space.by_pivot == {p: sparse(row) for p, row in zip(ref.pivots, ref.rows)}
+            assert space.rows == ref.rows and space.pivots == ref.pivots
+
+
+def test_kernels_reject_mixed_fields():
+    Q, F5 = rationals(), prime_field(5)
+    with pytest.raises(FieldMismatch):
+        RowSpace(Q, 2).add([Q.one(), F5.one()])
+    with pytest.raises(FieldMismatch):
+        RowSpace(Q, 2).contains({1: F5.one()})
+    with pytest.raises(FieldMismatch):
+        linalg.mat_mul([[Q.one()]], [[F5.one()]])
+    with pytest.raises(FieldMismatch):
+        linalg.mat_vec([[Q.one(), Q.one()]], [Q.one(), F5.from_int(2)])
 
 
 def test_rowspace_zero_and_empty():
@@ -222,6 +257,65 @@ def test_module_verdicts_match_reference(monkeypatch):
         dense_run = (is_simple(V), endo_ring(V))
         monkeypatch.undo()
         assert sparse_run == dense_run
+
+
+# -- the FieldElement-level references for mat_mul and mat_vec ---------------
+
+
+def ref_mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    zero = a[0][0].spec.zero()
+    out = []
+    for i in range(n):
+        row_a = a[i]
+        row = []
+        for j in range(m):
+            acc = None
+            for t in range(k):
+                x = row_a[t]
+                if x.is_zero():
+                    continue
+                term = x * b[t][j]
+                acc = term if acc is None else acc + term
+            row.append(acc if acc is not None else zero)
+        out.append(row)
+    return out
+
+
+def ref_mat_vec(a, v):
+    out = []
+    for row in a:
+        acc = None
+        for x, y in zip(row, v):
+            if x.is_zero() or y.is_zero():
+                continue
+            term = x * y
+            acc = term if acc is None else acc + term
+        out.append(acc if acc is not None else v[0].spec.zero())
+    return out
+
+
+@pytest.mark.parametrize("spec", ALL_FIELDS, ids=str)
+def test_products_match_element_reference(spec):
+    """mat_mul and mat_vec give the reference's entries, every one a canonical
+    element of spec, on every case shape, with zero rows and zero factors."""
+    for name, a in matrix_cases(spec):
+        rng = random.Random(zlib.crc32(("products " + name).encode()))
+        k = len(a[0])
+        a_with_zero_row = a + [[spec.zero()] * k]
+        zero_b = [[spec.zero()] * 2 for _ in range(k)]
+        for left in (a, a_with_zero_row):
+            for m in (1, 3):
+                b = random_matrix(rng, spec, k, m)
+                for right in (b, zero_b):
+                    got = linalg.mat_mul(left, right)
+                    assert got == ref_mat_mul(left, right), name
+                    assert all(isinstance(x, FieldElement) and x.spec == spec
+                               for row in got for x in row)
+            for v in (random_matrix(rng, spec, 1, k)[0], [spec.zero()] * k, [spec.one()] * k):
+                got = linalg.mat_vec(left, v)
+                assert got == ref_mat_vec(left, v), name
+                assert all(isinstance(x, FieldElement) and x.spec == spec for x in got)
 
 
 # -- the dense reference for rank, kernel_basis, solve and inverse ------------

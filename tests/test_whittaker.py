@@ -3,8 +3,7 @@ import zlib
 
 import pytest
 
-from gwa.catalog import build_theorem_module
-from gwa.cli import default_grid
+from gwa.catalog import build_theorem_module, default_grid
 from gwa.core import gwa_mul
 from gwa.errors import InvalidParameters, NotAWhittakerPair, NotPhiStable
 from gwa.field import prime_field, rationals
