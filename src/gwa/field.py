@@ -188,7 +188,7 @@ def _prime_factors(n: int):
 class FieldSpec:
     """Identifies one of the supported coefficient fields."""
 
-    __slots__ = ("kind", "p", "n", "gen_name", "_degree", "_xpow", "_units", "ops")
+    __slots__ = ("kind", "p", "n", "gen_name", "_degree", "_xpow", "_units", "ops", "_zero", "_one")
 
     def __init__(self, kind, p=None, n=None, gen_name=None):
         self.kind = kind
@@ -219,6 +219,7 @@ class FieldSpec:
                         lambda a: not a[0])
         else:
             raise InvalidParameters(f"unknown field kind {kind!r}")
+        self._zero, self._one = self.from_fraction(Fraction(0)), self.from_fraction(Fraction(1))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, FieldSpec)
@@ -249,10 +250,10 @@ class FieldSpec:
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "FieldElement":
-        return self.from_fraction(Fraction(0))
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.from_fraction(Fraction(1))
+        return self._one
 
     def from_int(self, k: int) -> "FieldElement":
         return self.from_fraction(Fraction(k))
@@ -359,7 +360,7 @@ class FieldElement:
         return self.spec.ops[4](self.payload)
 
     def is_one(self) -> bool:
-        return self == self.spec.one()
+        return self.payload == self.spec._one.payload
 
     def __bool__(self):
         return not self.is_zero()

@@ -20,6 +20,8 @@ from .errors import ExprSyntaxError, UnknownSymbol
 from .field import FieldElement, FieldSpec
 from .ring import BaseRing, RingElement
 
+MAX_EXPONENT = 10_000   # a larger exponent, such as a typo t^99999999, is a parse error
+
 
 class _Token:
     __slots__ = ("kind", "text", "pos")
@@ -126,6 +128,9 @@ class _Parser:
                 self.advance()
                 sign = -1
             tok = self.expect("int")
+            # the length test keeps int() from a digit string too long to convert
+            if len(tok.text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok.text) > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent exceeds the limit {MAX_EXPONENT}", tok.pos)
             value = self.hooks["pow"](value, sign * int(tok.text), tok.pos)
         return value
 

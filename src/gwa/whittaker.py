@@ -3,11 +3,13 @@ Whittaker vectors, simplicity verdicts, and endomorphism rings.
 
 A module is realized either as a MatrixModel (finite dimension, one exact
 matrix per algebra generator, basis vectors tagged with the ring elements
-they represent) or symbolically as R/Q with degree-truncated enumeration.
+they represent) or symbolically as R/Q with degree-truncated enumeration.  On
+a MatrixModel, Ann_R(w) (a Buchberger-Moller walk) and End(V) need no degree bound.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -21,7 +23,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .field import FieldElement, format_scalar
-from .ideals import PhiStableIdeal, _leading, normal_form, phi_stable_ideal
+from .ideals import PhiStableIdeal, _certified, _degrevlex_key, _leading, normal_form, phi_stable_ideal
 from .linalg import (
     RowSpace,
     identity,
@@ -363,12 +365,11 @@ def verify_relations(model: MatrixModel) -> list:
 # ring monomial / algebra monomial enumeration
 
 
-def ring_monomials(ring, degree: int, laurent_window: int | None = None):
+def ring_monomials(ring, degree: int):
     """Exponent tuples with sum of |e| <= degree; Laurent slots range negative."""
-    window = degree if laurent_window is None else laurent_window
     ranges = []
     for l in ring.laurent:
-        ranges.append(range(-window, window + 1) if l else range(0, degree + 1))
+        ranges.append(range(-degree, degree + 1) if l else range(0, degree + 1))
     out = []
     for exps in itertools.product(*ranges):
         if sum(abs(e) for e in exps) <= degree:
@@ -411,19 +412,37 @@ def _element_vector(a: GwaElement, index) -> dict | None:
 # annihilators
 
 
-def recover_annihilator(V: WhittakerModule, degree_margin: int = 1) -> PhiStableIdeal:
-    """Ann_R(w) computed from the realization alone."""
+def recover_annihilator(V: WhittakerModule) -> PhiStableIdeal:
+    """The reduced basis of Ann_R(w) by a Buchberger-Moller walk (Marinari,
+    Moeller and Mora 1993).  Monomials m leave a heap in increasing degrevlex
+    order, less multiples of leading monomials found.  If m w is independent of
+    the standard images, m is standard and queues each m x_i; if not, the one
+    relation is the basis element m - sum c_s s.  Laurent generators walk as variables."""
     if not V.is_matrix:
         return V.Q
-    model = V.realization
     ring = V.pres.ring
-    field = ring.field
-    bound = model.dim + degree_margin
-    monos = [ring.monomial(m, field.one())
-             for m in ring_monomials(ring, bound, laurent_window=bound)]
-    kernel = linear_relations([model.vector_of_ring(m) for m in monos], field)
-    gens = [linear_combination(combo, monos, ring.zero()) for combo in kernel]
-    return phi_stable_ideal(ring, V.pres.phis, gens)
+    space = RowSpace(ring.field, V.dim)
+    standard, images, leads, basis = [], [], [], []
+    start = (0,) * len(ring.gens)
+    heap, queued = [(_degrevlex_key(start), start)], {start}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        if any(all(a <= b for a, b in zip(lead, m)) for lead in leads):
+            continue
+        image, mono = V.realization._monomial_vector(m), ring.monomial(m, ring.field.one())
+        if not space.add(image):
+            # the standard images are independent, so the one relation ends in a one
+            (relation,) = linear_relations(images + [image], ring.field)
+            leads.append(m)
+            basis.append(linear_combination(relation, standard + [mono], ring.zero()))
+            continue
+        standard.append(mono)
+        images.append(image)
+        for up in (m[:i] + (m[i] + 1,) + m[i + 1:] for i in range(len(m))):
+            if up not in queued:
+                queued.add(up)
+                heapq.heappush(heap, (_degrevlex_key(up), up))
+    return _certified(ring, V.pres.phis, basis)
 
 
 def ann_w_member(V: WhittakerModule, a: GwaElement) -> bool:
@@ -731,9 +750,9 @@ class EndoReport:
     s_matches: bool
 
 
-def endo_ring(V: WhittakerModule, degree: int | None = None) -> EndoReport:
-    """Commutant of the action compared against pi(S) for
-    S = {s in R : s - phi_i(s) in Q for all i}."""
+def endo_ring(V: WhittakerModule) -> EndoReport:
+    """Commutant of the action compared against pi(S), S = {s : s - phi_i(s) in
+    Ann_R(w)}, read exactly off the basis representatives, which span R/Ann_R(w)."""
     if not V.is_matrix:
         raise UnsupportedRing("endomorphism computation needs a matrix model")
     model = V.realization
@@ -756,14 +775,11 @@ def endo_ring(V: WhittakerModule, degree: int | None = None) -> EndoReport:
     commutant_flat = kernel_basis(rows, field)
     commutant = [[vec[i * d:(i + 1) * d] for i in range(d)] for vec in commutant_flat]
 
-    if degree is None:
-        degree = d + max((g.degree() for g in V.Q.generators), default=1)
-    monos = [pres.ring.monomial(m, field.one()) for m in ring_monomials(pres.ring, degree)]
     images = [[x for phi in pres.phis for x in model.vector_of_ring(r - phi.apply(r))]
-              for r in monos]
+              for r in model.basis_reps]
     s_space = RowSpace(field, d * d)
     for combo in linear_relations(images, field):
-        s = linear_combination(combo, monos, pres.ring.zero())
+        s = linear_combination(combo, model.basis_reps, pres.ring.zero())
         s_space.add([x for row in model.matrix_of_ring(s) for x in row])
 
     comm_space = RowSpace(field, d * d)

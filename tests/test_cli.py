@@ -7,7 +7,7 @@ import pytest
 from gwa.catalog import default_grid
 from gwa.cli import build_arg_parser, main
 from gwa.core import format_element
-from gwa.parser import parse_element
+from gwa.parser import MAX_EXPONENT, parse_element
 
 from util import random_gwa_element, weyl1
 
@@ -62,6 +62,16 @@ def test_normalize_superscript_digit_is_parse_error(config, capsys):
     code, out, err = run(capsys, "--config", path, "normalize", "\u00b2*X")
     assert code == 2 and out == ""
     assert "unexpected character" in err and "position 0" in err
+
+
+def test_normalize_exponent_over_the_cap_is_parse_error(config, capsys):
+    # only the cap plus one is tried: a larger exponent under a broken cap never finishes
+    path = config(WEYL1)
+    for text in (f"X^{MAX_EXPONENT + 1}", f"t^{MAX_EXPONENT + 1}*X", f"2^-{MAX_EXPONENT + 1}"):
+        code, out, err = run(capsys, "--config", path, "normalize", text)
+        assert code == 2 and out == ""
+        assert f"exponent exceeds the limit {MAX_EXPONENT}" in err
+    assert f"position {text.index('-') + 1}" in err
 
 
 def test_normalize_config_error_exit3(capsys, tmp_path):

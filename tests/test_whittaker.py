@@ -1,15 +1,37 @@
+import itertools
 import random
 import zlib
 
 import pytest
 
-from gwa.catalog import build_theorem_module, default_grid
+from gwa.catalog import (
+    FamilySpec,
+    _standard_claims,
+    build_family,
+    build_theorem_module,
+    default_grid,
+    tilde_t,
+)
 from gwa.core import gwa_mul
 from gwa.errors import InvalidParameters, NotAWhittakerPair, NotPhiStable
-from gwa.field import prime_field, rationals
+from gwa.field import cyclotomic_field, prime_field, rationals
 from gwa.ideals import ideal_equal_gens, phi_stable_ideal
-from gwa.linalg import identity, mat_mul, mat_vec, zeros
+from gwa.linalg import (
+    RowSpace,
+    identity,
+    kernel_basis,
+    linear_combination,
+    linear_relations,
+    mat_mul,
+    mat_vec,
+    rank,
+    zeros,
+)
 from gwa.whittaker import (
+    EndoReport,
+    MatrixModel,
+    WhittakerModule,
+    _standard_monomials,
     ann_V_check,
     ann_w_generators,
     ann_w_member,
@@ -18,6 +40,7 @@ from gwa.whittaker import (
     is_simple,
     module_to_json,
     recover_annihilator,
+    ring_monomials,
     thm43_truncated_check,
     universal_act,
     universal_module,
@@ -296,3 +319,159 @@ def test_action_is_a_homomorphism(theorem):
         a = random_gwa_element(rng, pres, max_z=2, max_degree=2, n_terms=2)
         b = random_gwa_element(rng, pres, max_z=2, max_degree=2, n_terms=2)
         assert model.act_matrix(gwa_mul(a, b)) == mat_mul(model.act_matrix(a), model.act_matrix(b))
+
+
+# ---------------------------------------------------------------------------
+# the annihilator walk against the enumeration it replaced
+
+
+def _ref_monomials(V):
+    """Every monomial of degree <= dim + 1, Laurent slots in [-(dim + 1), dim + 1]."""
+    ring = V.pres.ring
+    bound = V.dim + 1
+    ranges = [range(-bound, bound + 1) if l else range(bound + 1) for l in ring.laurent]
+    one = ring.field.one()
+    return [ring.monomial(e, one) for e in itertools.product(*ranges) if sum(map(abs, e)) <= bound]
+
+
+def ref_recover_annihilator(V):
+    """Reference: Buchberger on the kernel of the map m -> m w over every monomial."""
+    ring = V.pres.ring
+    monos = _ref_monomials(V)
+    kernel = linear_relations([V.realization.vector_of_ring(m) for m in monos], ring.field)
+    return phi_stable_ideal(ring, V.pres.phis,
+                            [linear_combination(combo, monos, ring.zero()) for combo in kernel])
+
+
+def ref_cyclic(V):
+    """Reference: w generates V when the images of the monomials have full rank."""
+    return rank([V.realization.vector_of_ring(m) for m in _ref_monomials(V)]) == V.dim
+
+
+def ref_endo_ring(V):
+    """Reference: the commutant against pi(S), with S read off every monomial
+    of degree <= dim + max deg Q."""
+    model = V.realization
+    pres = V.pres
+    field = model.field
+    d = model.dim
+    rows = []
+    for g in model.action_generators():
+        for a in range(d):
+            for b in range(d):
+                row = [field.zero()] * (d * d)
+                for k in range(d):
+                    row[k * d + b] = row[k * d + b] + g[a][k]
+                for k in range(d):
+                    row[a * d + k] = row[a * d + k] - g[k][b]
+                rows.append(row)
+    commutant_flat = kernel_basis(rows, field)
+    commutant = [[vec[i * d:(i + 1) * d] for i in range(d)] for vec in commutant_flat]
+
+    degree = d + max((g.degree() for g in V.Q.generators), default=1)
+    monos = [pres.ring.monomial(m, field.one()) for m in ring_monomials(pres.ring, degree)]
+    images = [[x for phi in pres.phis for x in model.vector_of_ring(r - phi.apply(r))]
+              for r in monos]
+    s_space = RowSpace(field, d * d)
+    for combo in linear_relations(images, field):
+        s = linear_combination(combo, monos, pres.ring.zero())
+        s_space.add([x for row in model.matrix_of_ring(s) for x in row])
+    comm_space = RowSpace(field, d * d)
+    for vec in commutant_flat:
+        comm_space.add(vec)
+    return EndoReport(len(commutant_flat), commutant, comm_space.equals(s_space))
+
+
+def _assert_walk_matches_reference(V):
+    walk = recover_annihilator(V)
+    assert walk.generators == ref_recover_annihilator(V).generators
+    assert walk == V.Q
+    cyclic = len(_standard_monomials(V.pres.ring, walk.generators)) == V.dim
+    assert cyclic and ref_cyclic(V)
+    assert endo_ring(V) == ref_endo_ring(V)
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_annihilator_walk_matches_reference_on_default_grids(theorem):
+    for spec in default_grid(theorem):
+        V, _ = build_theorem_module(spec)
+        _assert_walk_matches_reference(V)
+
+
+
+def _monic(rng, u, degree, pool):
+    """A monic polynomial of this degree in u, the other coefficients from the pool."""
+    out = u ** degree
+    for k in range(degree):
+        out = out + u ** k * rng.choice(pool)
+    return out
+
+
+def _seeded_ideal(rng, invariants, pool, squares):
+    """Generators of a phi-stable ideal of finite codimension: polynomials in
+    the phi-invariants, with a monic one in each, or with `squares` possibly
+    the square of (u - a, v - b).  A single entry is tilde itself, in the
+    univariate affine family with alpha = zeta3, where each tilde^a f(tilde^3) is stable."""
+    if len(invariants) == 1:
+        tilde = invariants[0]
+        return [tilde ** rng.randint(0, 2) * _monic(rng, tilde ** 3, rng.randint(0, 1), pool)]
+    u, v = invariants
+    if not squares or rng.random() < 0.5:
+        return [_monic(rng, u, rng.randint(1, 2), pool), _monic(rng, v, 1, pool)]
+    a, b = u - u.ring.scalar(rng.choice(pool)), v - v.ring.scalar(rng.choice(pool))
+    return [a ** 2, a * b, b ** 2]
+
+
+def _seeded_families():
+    F5 = prime_field(5)
+    smith = build_family(FamilySpec("smith", F5, {"s": [F5.zero(), F5.from_int(2)]}))
+    h, c = smith.ring.gen("h"), smith.ring.gen("c")
+    Z3 = cyclotomic_field(3)
+    affine = build_family(FamilySpec("univariate_affine", Z3,
+                                     {"alpha": Z3.generator(), "beta": Z3.one()}))
+    Z6 = cyclotomic_field(6)
+    qsmith = build_family(FamilySpec("quantum_smith", Z6, {"m": 1, "q": Z6.generator()}))
+    # the square of a maximal ideal has three times its codimension; smith's is
+    # left out, where a 15-dimensional module makes the reference slow
+    return {
+        "smith F5": (smith, [c, h ** 5 - h], False),
+        "univariate_affine Q(zeta3)": (affine, [tilde_t(affine)], False),
+        "quantum_smith Q(zeta6), K Laurent": (qsmith, [qsmith.ring.gen("c"), qsmith.ring.gen("K", 3)], True),
+    }
+
+
+@pytest.mark.parametrize("family", list(_seeded_families()))
+def test_annihilator_walk_matches_reference_on_seeded_modules(family):
+    pres, invariants, squares = _seeded_families()[family]
+    rng = random.Random(zlib.crc32(("annihilator walk " + family).encode()))
+    pool = pres.ring.field.sample_pool()
+    nonzero = [c for c in pool if not c.is_zero()]
+    built = 0
+    while built < 4:
+        try:
+            V = build_module(pres, _seeded_ideal(rng, invariants, pool, squares), (rng.choice(nonzero),))
+        except NotAWhittakerPair:
+            # the unit ideal, or a Laurent generator that is a zero divisor mod Q
+            continue
+        _assert_walk_matches_reference(V)
+        built += 1
+
+
+def test_cyclic_claim_is_false_when_w_does_not_generate():
+    # V_(tilde) + V_(tilde) with w in the first summand: R w is one-dimensional
+    pres = univariate_affine(Q, Q.from_int(2), Q.from_int(1))
+    tilde = pres.ring.gen("t") + pres.ring.one()
+    zeta = Q.from_int(3)
+    t0 = -Q.one()
+
+    def diag(x):
+        return [[x, Q.zero()], [Q.zero(), x]]
+
+    model = MatrixModel(pres, (zeta,), {"t": diag(t0)}, [diag(zeta)], [diag(zeta.inv() * t0)],
+                        [Q.one(), Q.zero()], [pres.ring.one(), pres.ring.one()])
+    assert verify_relations(model) == []
+    V = WhittakerModule(pres, (zeta,), phi_stable_ideal(pres.ring, pres.phis, [tilde]), model)
+    assert recover_annihilator(V) == V.Q
+    assert not ref_cyclic(V)
+    claims = {c.cid: c.ok for c in _standard_claims(V, [], None)}
+    assert claims["cyclic"] is False and claims["annihilator"] is True
