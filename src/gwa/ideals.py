@@ -6,9 +6,9 @@ carries a certificate).  It skips S-pairs by Buchberger's product and chain
 criteria.  A `PhiStableIdeal` stores its reduced basis, and membership
 reduces against that basis directly, so a query runs no Groebner computation.
 Laurent rings are treated through their polynomial part: exponents are
-shifted to be nonnegative and membership saturates by the Laurent generators
-up to an explicit degree bound, which is sound and covers the
-principal-plus-binomial ideals arising here.
+shifted to be nonnegative, and an ideal is stored as the reduced basis of its
+saturation by the Laurent generators, computed exactly by the Rabinowitsch
+trick.  So membership is exact there too, and equal ideals have equal bases.
 """
 
 from __future__ import annotations
@@ -42,8 +42,25 @@ def _heap_key(exps):
     return (-sum(exps), exps[::-1])
 
 
+class _EliminationRing(BaseRing):
+    """A polynomial ring ordered by total degree in the generators past the first
+    `keep`, then degrevlex: an elimination order, and degrevlex on monomials free of them."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self, field, gens, keep: int):
+        super().__init__(field, gens)
+        self.keys = (lambda e: (sum(e[keep:]),) + _degrevlex_key(e),
+                     lambda e: (-sum(e[keep:]),) + _heap_key(e))
+
+
+def _keys(ring):
+    """(sort key, heap key) of the ring's monomial order."""
+    return (_degrevlex_key, _heap_key) if type(ring) is BaseRing else ring.keys
+
+
 def _leading(r: RingElement):
-    exps = max(r.terms, key=_degrevlex_key)
+    exps = max(r.terms, key=_keys(r.ring)[0])
     return exps, r.terms[exps]
 
 
@@ -78,8 +95,9 @@ def reduce_with_certificate(r: RingElement, basis):
     monomial divides it, subtracting in place on a term dict."""
     divisors = _divisors(basis)
     ring = r.ring
+    heap_key = _keys(ring)[1]
     f = dict(r.terms)
-    heap = [(_heap_key(e), e) for e in f]
+    heap = [(heap_key(e), e) for e in f]
     heapq.heapify(heap)
     cof = [{} for _ in divisors]
     rem = {}
@@ -105,7 +123,7 @@ def reduce_with_certificate(r: RingElement, basis):
             old = f.get(m)
             if old is None:
                 f[m] = nq * gc
-                heapq.heappush(heap, (_heap_key(m), m))
+                heapq.heappush(heap, (heap_key(m), m))
             else:
                 s = old + nq * gc
                 if s.is_zero():
@@ -148,8 +166,8 @@ def _combine(track, cof, tracks, indices):
 
 
 def groebner_basis(gens, track: bool = True):
-    """Reduced Groebner basis (degrevlex) of the input polynomials, monic and
-    sorted by leading monomial.
+    """Reduced Groebner basis of the input polynomials, monic and sorted by
+    leading monomial, in degrevlex (an `_EliminationRing` brings its own order).
 
     Returns (basis, transforms): basis[i] = sum_j transforms[i][j]*gens[j] over
     the nonzero gens.  transforms is None when track is false.  Pairs pop LIFO;
@@ -207,7 +225,8 @@ def groebner_basis(gens, track: bool = True):
             basis[i] = rem
             divisors[i] = divisors[i][:2] + (rem.terms,)
 
-    order = sorted(keep, key=lambda k: _degrevlex_key(leads[k]))
+    key = _keys(ring)[0]
+    order = sorted(keep, key=lambda k: key(leads[k]))
     out_basis = [basis[k] * divisors[k][1] for k in order]
     out_tracks = [[t * divisors[k][1] for t in tracks[k]] for k in order] if track else None
     return out_basis, out_tracks
@@ -215,10 +234,6 @@ def groebner_basis(gens, track: bool = True):
 
 # ---------------------------------------------------------------------------
 # Laurent handling
-
-
-def _laurent_names(ring: BaseRing):
-    return [g for g, l in zip(ring.gens, ring.laurent) if l]
 
 
 def _clear_laurent(r: RingElement):
@@ -231,14 +246,35 @@ def _clear_laurent(r: RingElement):
     return (r * unit if any(shift) else r), unit
 
 
-def _laurent_spread(gens, ring) -> int:
-    spread = 0
-    for name in _laurent_names(ring):
-        for g in gens:
-            if g.is_zero():
-                continue
-            spread = max(spread, g.degree_in(name) - min(0, g.min_degree_in(name)))
-    return spread
+def _saturated_basis(gens, track: bool):
+    """Reduced basis of J : K^inf, for J the ideal of the exponent-shifted
+    nonzero gens and K the Laurent generators, with transforms over the shifted
+    gens as in `groebner_basis`.  It generates the same Laurent ideal as gens.
+
+    Rabinowitsch trick (Cox, Little and O'Shea, Ideals, Varieties, and
+    Algorithms, 3.1 and 4.4): adjoin u_K and K*u_K - 1 per K, keep the u-free
+    part of the reduced basis in an order eliminating the u_K, and map the
+    transforms back by u_K -> K^-1, which kills each K*u_K - 1."""
+    cleared = [_clear_laurent(g)[0] for g in gens if not g.is_zero()]
+    ring = cleared[0].ring if cleared else None
+    if ring is None or not any(ring.laurent):
+        return groebner_basis(cleared, track)
+    n = len(ring.gens)
+    laurent = [g for g, l in zip(ring.gens, ring.laurent) if l]
+    # longer than every generator name, so no u_K clashes with one
+    inverses = ["1/" + "_" * max(map(len, ring.gens)) + g for g in laurent]
+    ext = _EliminationRing(ring.field, ring.gens + tuple(inverses), n)
+    pad = (0,) * len(laurent)
+    polys = [RingElement(ext, {e + pad: c for e, c in g.terms.items()}) for g in cleared]
+    polys += [ext.gen(g) * ext.gen(u) - ext.one() for g, u in zip(laurent, inverses)]
+    basis, transforms = groebner_basis(polys, track)
+    keep = [i for i, b in enumerate(basis) if not any(any(e[n:]) for e in b.terms)]
+    out = [RingElement(ring, {e[:n]: c for e, c in basis[i].terms.items()}) for i in keep]
+    if not track:
+        return out, None
+    back = {g: ring.gen(g) for g in ring.gens}
+    back.update((u, ring.gen(g, -1)) for g, u in zip(laurent, inverses))
+    return out, [[t.substitute(back) for t in transforms[i][:len(cleared)]] for i in keep]
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +293,11 @@ class MembershipResult:
 class PhiStableIdeal:
     """A left ideal of the (commutative) base ring, closed under every phi_i.
 
-    `generators` is the canonical reduced Groebner basis of the polynomial
-    part (for Laurent rings: of the exponent-shifted generators), monic and
-    deterministic.  Membership reduces against it directly, with no further
-    Groebner computation.  The stability certificate maps (i, j) to the
-    membership expression of phi_i(g_j)."""
+    `generators` is the reduced Groebner basis of the polynomial part (for
+    Laurent rings: of the saturation of the exponent-shifted generators),
+    monic and unique to the ideal.  Membership reduces against it directly,
+    with no further Groebner computation.  The stability certificate maps
+    (i, j) to the membership expression of phi_i(g_j)."""
 
     def __init__(self, ring: BaseRing, phis, generators, stability_certificate=None):
         self.ring = ring
@@ -287,52 +323,28 @@ class PhiStableIdeal:
     def __eq__(self, other):
         if not isinstance(other, PhiStableIdeal) or other.ring != self.ring:
             return NotImplemented
-        return _equal_bases(self.ring, self.generators, other.generators)
+        return self.generators == other.generators
 
-    # equality is extensional (two-way membership), so these objects are unhashable
+    # equality compares the unique reduced bases, but the ideal carries its
+    # mutable certificate and automorphism list, so it is left unhashable
     __hash__ = None
-
-
-def _cleared_basis(gens, track: bool):
-    """Groebner basis of the exponent-shifted nonzero gens."""
-    return groebner_basis([_clear_laurent(g)[0] for g in gens if not g.is_zero()], track)
-
-
-def _canonical_generators(ring: BaseRing, gens):
-    return _cleared_basis(gens, track=False)[0]
 
 
 def _membership(r: RingElement, ring: BaseRing, gens, basis, transforms) -> MembershipResult:
     """Membership of r in the ideal generated by the nonzero `gens`, given the
-    Groebner basis of their exponent-shifted forms (a list or a `_Divisors`).
+    saturated basis of their exponent-shifted forms (a list or a `_Divisors`).
 
     transforms[i][j] is the coefficient of the shifted gens[j] in basis[i];
-    None means gens is the reduced basis itself.  In Laurent rings r is
-    multiplied by the Laurent generators up to a degree bound before it is
-    declared a non-member."""
+    None means gens is the reduced basis itself."""
     if r.is_zero():
         return MembershipResult(True, [], None)
     if not gens:
         return MembershipResult(False, None, r)
-    divisors = _divisors(basis)
     target, shift_unit = _clear_laurent(r)
-    laurents = _laurent_names(ring)
-    bound = _laurent_spread(gens, ring) + max(0, r.degree()) if laurents else 0
-    step = ring.one()
-    for name in laurents:
-        step = step * ring.gen(name)
-    sat = ring.one()
-    witness = None
-    for _ in range(bound + 1):
-        rem, cof = reduce_with_certificate(target, divisors)
-        if rem.is_zero():
-            return MembershipResult(True, _certificate(r, ring, gens, cof, transforms,
-                                                       shift_unit * sat), None)
-        if witness is None:
-            witness = rem
-        sat = sat * step
-        target = target * step
-    return MembershipResult(False, None, witness)
+    rem, cof = reduce_with_certificate(target, basis)
+    if not rem.is_zero():
+        return MembershipResult(False, None, rem)
+    return MembershipResult(True, _certificate(r, ring, gens, cof, transforms, shift_unit), None)
 
 
 def _certificate(r, ring, gens, cof, transforms, unit):
@@ -360,23 +372,12 @@ def _certificate(r, ring, gens, cof, transforms, unit):
     return cert
 
 
-def _contains_all(ring, elements, gens, basis, transforms) -> bool:
-    divisors = _divisors(basis)
-    return all(_membership(e, ring, gens, divisors, transforms).member for e in elements)
-
-
-def _equal_bases(ring, basis_a, basis_b) -> bool:
-    """Whether two reduced bases generate the same ideal, by two-way membership."""
-    return (_contains_all(ring, basis_a, basis_b, basis_b, None)
-            and _contains_all(ring, basis_b, basis_a, basis_a, None))
-
-
 def ideal_membership_gens(r: RingElement, ring: BaseRing, gens) -> MembershipResult:
     """Membership of r in the ideal generated by gens, with certificate."""
     gens = [g for g in gens if not g.is_zero()]
     if r.is_zero():
         return MembershipResult(True, [], None)
-    return _membership(r, ring, gens, *_cleared_basis(gens, track=True))
+    return _membership(r, ring, gens, *_saturated_basis(gens, track=True))
 
 
 def membership(r: RingElement, J: PhiStableIdeal) -> MembershipResult:
@@ -386,30 +387,23 @@ def membership(r: RingElement, J: PhiStableIdeal) -> MembershipResult:
 
 
 def ideal_equal_gens(ring, gens_a, gens_b) -> bool:
-    a = [g for g in gens_a if not g.is_zero()]
-    b = [g for g in gens_b if not g.is_zero()]
-    return (_contains_all(ring, gens_a, b, *_cleared_basis(b, track=True))
-            and _contains_all(ring, gens_b, a, *_cleared_basis(a, track=True)))
+    return _saturated_basis(gens_a, track=False)[0] == _saturated_basis(gens_b, track=False)[0]
 
 
 def is_phi_stable(phis, generators) -> bool:
     """phi_i(g) in (generators) for every generator and every i."""
-    if not generators:
-        return True
-    ring = generators[0].ring
-    gens = [g for g in generators if not g.is_zero()]
-    basis, transforms = _cleared_basis(gens, track=True)
-    return all(_contains_all(ring, (phi.apply(g) for g in generators), gens, basis, transforms)
-               for phi in phis)
+    divisors = _divisors(_saturated_basis(generators, track=False)[0])
+    return all(normal_form(_clear_laurent(phi.apply(g))[0], divisors).is_zero()
+               for phi in phis for g in generators)
 
 
 def phi_stable_ideal(ring: BaseRing, phis, generators) -> PhiStableIdeal:
     """Construct the ideal and certify stability (raises NotPhiStable)."""
-    return _certified(ring, phis, _canonical_generators(ring, generators))
+    return _certified(ring, phis, _saturated_basis(generators, track=False)[0])
 
 
 def _certified(ring: BaseRing, phis, basis) -> PhiStableIdeal:
-    """The ideal with this reduced basis, once its stability is certified."""
+    """The ideal with this reduced (saturated) basis, once its stability is certified."""
     J = PhiStableIdeal(ring, phis, basis)
     cert = J.stability_certificate
     for i, phi in enumerate(phis):
@@ -429,17 +423,16 @@ def _certified(ring: BaseRing, phis, basis) -> PhiStableIdeal:
 def phi_stable_closure(generators, phis, cap: int = 64) -> PhiStableIdeal:
     """Smallest phi-stable ideal containing the generators."""
     if not generators:
-        ring = phis[0].ring
-        return PhiStableIdeal(ring, phis, [])
+        return PhiStableIdeal(phis[0].ring, phis, [])
     ring = generators[0].ring
-    current = _canonical_generators(ring, generators)
+    current = _saturated_basis(generators, track=False)[0]
     for _ in range(cap):
         extended = list(current)
         for phi in phis:
             extended.extend(phi.apply(g) for g in current)
             extended.extend(phi.inverse().apply(g) for g in current)
-        new_basis = _canonical_generators(ring, extended)
-        if _equal_bases(ring, current, new_basis):
+        new_basis = _saturated_basis(extended, track=False)[0]
+        if new_basis == current:
             return _certified(ring, phis, new_basis)
         current = new_basis
     raise ClosureBudgetExceeded("closure did not stabilize; this contradicts Noetherianity")

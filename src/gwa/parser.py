@@ -21,6 +21,7 @@ from .field import FieldElement, FieldSpec
 from .ring import BaseRing, RingElement
 
 MAX_EXPONENT = 10_000   # a larger exponent, such as a typo t^99999999, is a parse error
+MAX_DIGITS = 4_300      # a longer integer literal is a parse error (int()'s default limit)
 
 
 class _Token:
@@ -44,6 +45,8 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ExprSyntaxError(f"integer literal longer than {MAX_DIGITS} digits", i)
             out.append(_Token("int", text[i:j], i))
             i = j
             continue
@@ -128,8 +131,7 @@ class _Parser:
                 self.advance()
                 sign = -1
             tok = self.expect("int")
-            # the length test keeps int() from a digit string too long to convert
-            if len(tok.text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok.text) > MAX_EXPONENT:
+            if int(tok.text) > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent exceeds the limit {MAX_EXPONENT}", tok.pos)
             value = self.hooks["pow"](value, sign * int(tok.text), tok.pos)
         return value

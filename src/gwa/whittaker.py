@@ -23,7 +23,8 @@ from .errors import (
     UnsupportedRing,
 )
 from .field import FieldElement, format_scalar
-from .ideals import PhiStableIdeal, _certified, _degrevlex_key, _leading, normal_form, phi_stable_ideal
+from .ideals import (PhiStableIdeal, _certified, _degrevlex_key, _leading, membership, normal_form,
+                     phi_stable_ideal)
 from .linalg import (
     RowSpace,
     identity,
@@ -448,7 +449,8 @@ def recover_annihilator(V: WhittakerModule) -> PhiStableIdeal:
 def ann_w_member(V: WhittakerModule, a: GwaElement) -> bool:
     if V.is_matrix:
         return all(x.is_zero() for x in V.realization.act_vector(a, V.realization.w))
-    return V.realization.act_residue(a, V.pres.ring.one()).is_zero()
+    # membership, not a normal form: the residue may have negative Laurent exponents
+    return membership(universal_act(a, V.pres.ring.one(), V.zeta), V.Q).member
 
 
 def ann_w_generators(V: WhittakerModule) -> list:

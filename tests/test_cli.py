@@ -7,7 +7,7 @@ import pytest
 from gwa.catalog import default_grid
 from gwa.cli import build_arg_parser, main
 from gwa.core import format_element
-from gwa.parser import MAX_EXPONENT, parse_element
+from gwa.parser import MAX_DIGITS, MAX_EXPONENT, parse_element
 
 from util import random_gwa_element, weyl1
 
@@ -17,6 +17,7 @@ QWEYL = {"field": {"field": "Q(q)"}, "family": "quantum_weyl", "q": "q"}
 DOUBLING = {"field": {"field": "Q"}, "ring": {"vars": ["t"], "laurent": [False]},
             "automorphisms": [{"t": "2*t"}], "t": ["t"]}
 SMITH5 = {"field": {"field": "Fp", "p": 5}, "family": "smith", "s": "2*x"}
+QSMITH6 = {"field": {"field": "cyclotomic", "n": 6}, "family": "quantum_smith", "q": "zeta6", "m": 1}
 
 
 @pytest.fixture
@@ -72,6 +73,13 @@ def test_normalize_exponent_over_the_cap_is_parse_error(config, capsys):
         assert code == 2 and out == ""
         assert f"exponent exceeds the limit {MAX_EXPONENT}" in err
     assert f"position {text.index('-') + 1}" in err
+
+
+def test_normalize_literal_over_the_digit_cap_is_parse_error(config, capsys):
+    path = config(WEYL1)
+    code, out, err = run(capsys, "--config", path, "normalize", "3*X + " + "1" * (MAX_DIGITS + 1) + "*X")
+    assert code == 2 and out == ""
+    assert f"integer literal longer than {MAX_DIGITS} digits" in err and "position 6" in err
 
 
 def test_normalize_config_error_exit3(capsys, tmp_path):
@@ -138,6 +146,24 @@ def test_module_ann_w(config, capsys):
                        "module", "--zeta", "2", "ann-w", "X - 2")
     assert code == 0
     assert json.loads(out)["member"] is True
+
+
+def test_module_ann_w_laurent_residue(config, capsys):
+    # the residue of a*w keeps negative powers of K; membership in Q must still be exact
+    path = config(QSMITH6)
+    for text, member in (("K^-1*c-2*K^-1", True), ("K^-5*(c-2)*X", True),
+                         ("Y*K^-2*(c-2)", True), ("K^-1", False)):
+        code, out, _ = run(capsys, "--config", path, "--json",
+                           "module", "--annihilator", "c-2", "ann-w", text)
+        assert code == 0
+        assert json.loads(out)["member"] is member, text
+
+
+def test_module_build_prints_the_saturated_annihilator(config, capsys):
+    path = config(QSMITH6)
+    code, out, _ = run(capsys, "--config", path, "--json", "module", "--annihilator", "K*(c-2)", "build")
+    assert code == 0
+    assert json.loads(out)["annihilator_generators"] == ["c - 2"]
 
 
 def test_module_simple_and_whittaker_vectors(config, capsys):

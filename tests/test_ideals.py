@@ -20,8 +20,8 @@ from gwa.ideals import (
     reduce_with_certificate,
     _spoly,
 )
-from gwa.ring import Automorphism, BaseRing, format_ring_element
-from util import random_ring_element
+from gwa.ring import Automorphism, BaseRing, format_ring_element, identity_automorphism
+from util import certificate_holds, random_ring_element, stability_certificates_hold
 
 Q = rationals()
 
@@ -75,6 +75,53 @@ def test_membership_laurent_unit_multiple():
     for co, g in res.certificate:
         total = total + co * g
     assert total == R.gen("K", -2) * (c - theta)
+
+
+def test_laurent_membership_needs_the_full_saturation():
+    # x = K^-1 (x*K - y) + K^-2 (y*K - z) + K^-3 z*K: three multiplications by K
+    # away from the polynomial ideal, one more than a degree bound of 2 allowed
+    R = BaseRing(Q, ["x", "y", "z", "K"], [False, False, False, True])
+    x, y, z, K = (R.gen(g) for g in R.gens)
+    gens = [K * x - y, K * y - z, K * z]
+    res = ideal_membership_gens(x, R, gens)
+    assert res.member
+    assert certificate_holds(res.certificate, x, gens)
+    assert [(format_ring_element(c), format_ring_element(g)) for c, g in res.certificate] == [
+        ("K^-1", "x*K - y"), ("K^-2", "y*K - z"), ("K^-3", "z*K")]
+    # the saturation is (x, y, z), so every generator is a non-member of it
+    J = phi_stable_ideal(R, [identity_automorphism(R)], gens)
+    assert J.generators == [z, y, x]
+    assert stability_certificates_hold(J)
+    assert not ideal_membership_gens(R.one() + x, R, gens).member
+
+
+def test_unsaturated_laurent_input_gives_the_saturated_basis():
+    R, phis = _laurent_quantum_smith()
+    c, K = R.gen("c"), R.gen("K")
+    two = R.from_int(2)
+    J = phi_stable_ideal(R, phis, [K * (c - two)])
+    assert [format_ring_element(g) for g in J.generators] == ["c - 2"]
+    assert stability_certificates_hold(J)
+    same = phi_stable_ideal(R, phis, [c - two])
+    assert J == same and J.generators == same.generators
+    assert J != phi_stable_ideal(R, phis, [(c - two) ** 2])
+    assert ideal_equal_gens(R, [K ** 2 * (c - two), K * (c - two) * c], [c - two])
+    assert is_phi_stable(phis, [K * (c - two)]) and is_phi_stable(phis, [R.gen("K", -1) * (c - two)])
+    assert phi_stable_closure([K ** 3 * (c - two)], phis) == J
+    # the membership certificate cites the generator as given
+    res = ideal_membership_gens(c - two, R, [K * (c - two)])
+    assert res.member and res.certificate == [(R.gen("K", -1), K * (c - two))]
+    for r in (c - two, R.gen("K", -4) * (c - two) * c):
+        assert certificate_holds(membership(r, J).certificate, r, J.generators)
+    assert not membership(R.gen("K", -1), J).member
+
+
+def test_certificate_checker_is_strict():
+    R = univariate()
+    t = R.gen("t")
+    assert certificate_holds([(t, t)], t ** 2, [t])
+    assert not certificate_holds([(R.one(), t ** 2)], t ** 2, [t])     # cites a non-generator
+    assert not certificate_holds([(R.one(), t)], t ** 2, [t])          # re-expands to t
 
 
 def test_groebner_reduced_and_spolys_reduce():
@@ -543,6 +590,7 @@ def test_ideal_certificates_match_reference(name):
         seeds = [u1 * random_ring_element(rng, ring, 1, 2), u2 * random_ring_element(rng, ring, 1, 2)]
         J = phi_stable_closure([g for g in seeds if not g.is_zero()] or [u1], phis)
         assert J.generators == _ref_groebner(J.generators)[0]
+        assert stability_certificates_hold(J)
         for (i, j), cert in J.stability_certificate.items():
             phi = J.phis[i] if j >= 0 else J.phis[i].inverse()
             g = J.generators[j] if j >= 0 else J.generators[-j - 1]
@@ -555,23 +603,61 @@ def test_ideal_certificates_match_reference(name):
             assert res == ideal_membership_gens(r, ring, J.generators)
             member, ref_cert, witness = _ref_membership(r, ring, J.generators)
             assert (res.member, res.certificate, res.normal_form_witness) == (member, ref_cert, witness)
+            assert not member or certificate_holds(res.certificate, r, J.generators)
+
+
+def _sympy_forms(sympy, ring):
+    """(symbols, to_sympy, frozen): a ring element over Q as a sympy expression,
+    and a sympy polynomial as the comparable term set of its monic form."""
+    syms = sympy.symbols(ring.gens)
+
+    def to_sympy(r):
+        return sum(sympy.Rational(c.as_fraction().numerator, c.as_fraction().denominator)
+                   * sympy.Mul(*[s ** e for s, e in zip(syms, exps)])
+                   for exps, c in r.terms.items())
+
+    def frozen(poly):
+        return frozenset(sympy.Poly(poly, *syms, domain="QQ").monic().as_dict().items())
+
+    return syms, to_sympy, frozen
 
 
 def test_groebner_matches_sympy_over_q():
     sympy = pytest.importorskip("sympy")
     for name in ("Q[x,y]", "Q[x,y,z]"):
         ring = GROEBNER_RINGS[name]
-        syms = sympy.symbols(ring.gens)
-
-        def to_sympy(r):
-            return sum(sympy.Rational(c.as_fraction().numerator, c.as_fraction().denominator)
-                       * sympy.Mul(*[s ** e for s, e in zip(syms, exps)])
-                       for exps, c in r.terms.items())
-
-        def frozen(poly):
-            return frozenset(sympy.Poly(poly, *syms, domain="QQ").monic().as_dict().items())
-
+        syms, to_sympy, frozen = _sympy_forms(sympy, ring)
         for _, gens in _groebner_cases(name + " sympy", ring, 8):
             basis, _ = groebner_basis(gens)
             expected = sympy.groebner([to_sympy(g) for g in gens], *syms, order="grevlex")
             assert {frozen(to_sympy(b)) for b in basis} == {frozen(e) for e in expected.exprs}
+
+
+SATURATION_RINGS = {
+    "Q[x,K^+-1]": GROEBNER_RINGS["Q[x,K^+-1]"],
+    "Q[x,y,K^+-1]": BaseRing(Q, ["x", "y", "K"], [False, False, True]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SATURATION_RINGS))
+def test_saturation_matches_sympy(name):
+    # sympy's route: J + (K*u - 1) in lex with u first, keep the u-free part,
+    # then its grevlex basis; the library's stored generators must equal it
+    sympy = pytest.importorskip("sympy")
+    ring = SATURATION_RINGS[name]
+    syms, to_sympy, frozen = _sympy_forms(sympy, ring)
+    u = sympy.Symbol("u")
+    K = syms[ring.gens.index("K")]
+    # J = (K^a f - h g, K^b g) saturates to (f, g) : K^inf, which J itself rarely is
+    rng = random.Random(zlib.crc32(name.encode()))
+    unsaturated = 0
+    for _ in range(8):
+        f, g, h = (_ref_clear(random_ring_element(rng, ring, 2, 3))[0] for _ in range(3))
+        gens = [ring.gen("K", rng.randint(1, 2)) * f - h * g, ring.gen("K", rng.randint(1, 2)) * g]
+        lex = sympy.groebner([to_sympy(g) for g in gens] + [K * u - 1], u, *syms, order="lex")
+        free = [e for e in lex.exprs if not e.has(u)]
+        expected = sympy.groebner(free, *syms, order="grevlex").exprs if free else []
+        J = phi_stable_ideal(ring, [identity_automorphism(ring)], gens)
+        assert {frozen(to_sympy(b)) for b in J.generators} == {frozen(e) for e in expected}, gens
+        unsaturated += J.generators != groebner_basis(gens, track=False)[0]
+    assert unsaturated, "no case exercised a saturation"

@@ -34,6 +34,31 @@ def random_ring_element(rng: random.Random, ring, max_degree=3, n_terms=3):
     return out
 
 
+def certificate_holds(cert, target, generators) -> bool:
+    """Whether the (cofactor, generator) pairs re-expand to target, each
+    generator being one of `generators`.  Ring arithmetic only, so it is an
+    oracle independent of the Groebner code that built the certificate."""
+    total = target.ring.zero()
+    for c, g in cert:
+        if g not in generators:
+            return False
+        total = total + c * g
+    return total == target
+
+
+def stability_certificates_hold(J) -> bool:
+    """Every entry (i, j) of J's stability certificate re-expands phi_i(g_j),
+    and (i, -j - 1) re-expands phi_i^-1(g_j), over J.generators; the images
+    come from the stored generator images by substitution."""
+    for (i, j), cert in J.stability_certificate.items():
+        phi = J.phis[i]
+        g = J.generators[j] if j >= 0 else J.generators[-j - 1]
+        image = g.substitute(phi.images if j >= 0 else phi.inverse_images)
+        if not certificate_holds(cert, image, J.generators):
+            return False
+    return len(J.stability_certificate) == 2 * len(J.phis) * len(J.generators)
+
+
 def random_gwa_element(rng: random.Random, pres, max_z=3, max_degree=3, n_terms=3):
     out = pres.zero()
     for _ in range(rng.randint(1, n_terms)):
