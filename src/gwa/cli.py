@@ -7,7 +7,7 @@ with --json), stderr carries human-readable messages.
 
 Exit codes: 0 success/green, 1 red claims or failed check, 2 expression parse
 error, 3 configuration error, 4 unsupported ring, 5 violated theorem
-hypothesis.
+hypothesis, 141 (as for SIGPIPE) stdout closed early by its reader, silently.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ EXIT_PARSE = 2
 EXIT_CONFIG = 3
 EXIT_RING = 4
 EXIT_HYPOTHESIS = 5
+EXIT_PIPE = 141
 
 
 class ConfigError(GwaError):
@@ -252,8 +253,7 @@ def cmd_module(args) -> int:
             payload = {"matrix": matrix_to_json(V.realization.act_matrix(elt)),
                        "on_w": [format_scalar(x) for x in V.realization.act_vector(elt, V.realization.w)]}
         else:
-            payload = {"on_w": format_ring_element(
-                V.realization.act_residue(elt, pres.ring.one()))}
+            payload = {"on_w": format_ring_element(V.act_residue(elt, pres.ring.one()))}
         _emit(args, payload)
         return EXIT_OK
     if sub == "whittaker-vectors":
@@ -438,7 +438,13 @@ def main(argv=None) -> int:
     if args.degree is None:
         args.degree = int(os.environ.get("GWA_TRUNCATION", "4"))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # send the interpreter's final flush of the unwritten rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ExprSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -73,6 +73,10 @@ class InvalidParameters(GwaError):
     pass
 
 
+class ScalarTooLarge(GwaError):
+    """A scalar with more digits than Python will print as decimal text."""
+
+
 class TelescopingUnsolvable(GwaError):
     pass
 

@@ -31,6 +31,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameters,
     NoSuchRoot,
+    ScalarTooLarge,
     ZeroElement,
 )
 
@@ -652,25 +653,28 @@ def _format_poly(coeffs, sym: str) -> str:
 
 def format_scalar(x: FieldElement) -> str:
     """Canonical text form: "3/7", "zeta3^2+1", "q^2/(q-1)"."""
-    kind = x.spec.kind
-    if kind == Q_KIND:
+    try:
+        kind = x.spec.kind
+        if kind == Q_KIND:
+            num, den = x.payload
+            return str(num) if den == 1 else f"{num}/{den}"
+        if kind == FP_KIND:
+            return str(x.payload)
+        if kind == CYC_KIND:
+            nums, den = x.payload
+            return _format_poly(_ptrim([Fraction(c, den) for c in nums]), x.spec.gen_symbol())
         num, den = x.payload
-        return str(num) if den == 1 else f"{num}/{den}"
-    if kind == FP_KIND:
-        return str(x.payload)
-    if kind == CYC_KIND:
-        nums, den = x.payload
-        return _format_poly(_ptrim([Fraction(c, den) for c in nums]), x.spec.gen_symbol())
-    num, den = x.payload
-    num = [Fraction(c, den[-1]) for c in num]
-    num_s = _format_poly(num, x.spec.gen_name)
-    if len(den) == 1:
-        return num_s
-    den = [Fraction(c, den[-1]) for c in den]
-    den_s = _format_poly(den, x.spec.gen_name)
-    if len([c for c in num if c]) > 1 or num_s.startswith("-"):
-        num_s = f"({num_s})"
-    return f"{num_s}/({den_s})"
+        num = [Fraction(c, den[-1]) for c in num]
+        num_s = _format_poly(num, x.spec.gen_name)
+        if len(den) == 1:
+            return num_s
+        den = [Fraction(c, den[-1]) for c in den]
+        den_s = _format_poly(den, x.spec.gen_name)
+        if len([c for c in num if c]) > 1 or num_s.startswith("-"):
+            num_s = f"({num_s})"
+        return f"{num_s}/({den_s})"
+    except ValueError as exc:    # str(int) refuses more than sys.get_int_max_str_digits() digits
+        raise ScalarTooLarge(f"a {x.spec!r} scalar has too many digits to print") from exc
 
 
 def scalar_needs_parens(s: str) -> bool:

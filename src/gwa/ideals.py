@@ -9,6 +9,8 @@ Laurent rings are treated through their polynomial part: exponents are
 shifted to be nonnegative, and an ideal is stored as the reduced basis of its
 saturation by the Laurent generators, computed exactly by the Rabinowitsch
 trick.  So membership is exact there too, and equal ideals have equal bases.
+`PhiStableIdeal.reduce` gives the canonical residue of an element modulo the
+ideal, negative exponents included, from the same Rabinowitsch extension.
 """
 
 from __future__ import annotations
@@ -42,16 +44,45 @@ def _heap_key(exps):
     return (-sum(exps), exps[::-1])
 
 
-class _EliminationRing(BaseRing):
-    """A polynomial ring ordered by total degree in the generators past the first
-    `keep`, then degrevlex: an elimination order, and degrevlex on monomials free of them."""
+class _RabinowitschRing(BaseRing):
+    """ring[u_K], one u_K per Laurent generator K of the base ring, ordered by
+    total degree in the u_K, then degrevlex: an elimination order, and degrevlex
+    on u-free monomials.  `lift` writes each K^-a of a base element as u_K^a and
+    `lower` maps u_K back to K^-1."""
 
-    __slots__ = ("keys",)
+    __slots__ = ("keys", "base", "slots")
 
-    def __init__(self, field, gens, keep: int):
-        super().__init__(field, gens)
-        self.keys = (lambda e: (sum(e[keep:]),) + _degrevlex_key(e),
-                     lambda e: (-sum(e[keep:]),) + _heap_key(e))
+    def __init__(self, base: BaseRing):
+        n = len(base.gens)
+        self.base = base
+        self.slots = tuple(i for i, l in enumerate(base.laurent) if l)
+        # longer than every generator name, so no u_K clashes with one
+        inverses = tuple("1/" + "_" * max(map(len, base.gens)) + base.gens[i] for i in self.slots)
+        super().__init__(base.field, base.gens + inverses)
+        self.keys = (lambda e: (sum(e[n:]),) + _degrevlex_key(e),
+                     lambda e: (-sum(e[n:]),) + _heap_key(e))
+
+    def lift(self, r: RingElement) -> RingElement:
+        return RingElement(self, {tuple(max(x, 0) for x in e) + tuple(max(-e[i], 0) for i in self.slots): c
+                                  for e, c in r.terms.items()})
+
+    def lower(self, r: RingElement) -> RingElement:
+        n = len(self.base.gens)
+        out = {}
+        for e, c in r.terms.items():
+            low = list(e[:n])
+            for i, a in zip(self.slots, e[n:]):
+                low[i] -= a
+            low = tuple(low)
+            out[low] = out[low] + c if low in out else c
+        return RingElement(self.base, {e: c for e, c in out.items() if not c.is_zero()})
+
+    def basis(self, polys, track: bool):
+        """Reduced basis of the lifted polys and K*u_K - 1 per Laurent generator
+        K, with transforms as in `groebner_basis` (the polys first)."""
+        relations = [self.gen(self.gens[i]) * self.gen(u) - self.one()
+                     for i, u in zip(self.slots, self.gens[len(self.base.gens):])]
+        return groebner_basis([self.lift(g) for g in polys] + relations, track)
 
 
 def _keys(ring):
@@ -167,7 +198,7 @@ def _combine(track, cof, tracks, indices):
 
 def groebner_basis(gens, track: bool = True):
     """Reduced Groebner basis of the input polynomials, monic and sorted by
-    leading monomial, in degrevlex (an `_EliminationRing` brings its own order).
+    leading monomial, in degrevlex (a `_RabinowitschRing` brings its own order).
 
     Returns (basis, transforms): basis[i] = sum_j transforms[i][j]*gens[j] over
     the nonzero gens.  transforms is None when track is false.  Pairs pop LIFO;
@@ -259,22 +290,14 @@ def _saturated_basis(gens, track: bool):
     ring = cleared[0].ring if cleared else None
     if ring is None or not any(ring.laurent):
         return groebner_basis(cleared, track)
+    ext = _RabinowitschRing(ring)
     n = len(ring.gens)
-    laurent = [g for g, l in zip(ring.gens, ring.laurent) if l]
-    # longer than every generator name, so no u_K clashes with one
-    inverses = ["1/" + "_" * max(map(len, ring.gens)) + g for g in laurent]
-    ext = _EliminationRing(ring.field, ring.gens + tuple(inverses), n)
-    pad = (0,) * len(laurent)
-    polys = [RingElement(ext, {e + pad: c for e, c in g.terms.items()}) for g in cleared]
-    polys += [ext.gen(g) * ext.gen(u) - ext.one() for g, u in zip(laurent, inverses)]
-    basis, transforms = groebner_basis(polys, track)
+    basis, transforms = ext.basis(cleared, track)
     keep = [i for i, b in enumerate(basis) if not any(any(e[n:]) for e in b.terms)]
-    out = [RingElement(ring, {e[:n]: c for e, c in basis[i].terms.items()}) for i in keep]
+    out = [ext.lower(basis[i]) for i in keep]
     if not track:
         return out, None
-    back = {g: ring.gen(g) for g in ring.gens}
-    back.update((u, ring.gen(g, -1)) for g, u in zip(laurent, inverses))
-    return out, [[t.substitute(back) for t in transforms[i][:len(cleared)]] for i in keep]
+    return out, [[ext.lower(t) for t in transforms[i][:len(cleared)]] for i in keep]
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +319,9 @@ class PhiStableIdeal:
     `generators` is the reduced Groebner basis of the polynomial part (for
     Laurent rings: of the saturation of the exponent-shifted generators),
     monic and unique to the ideal.  Membership reduces against it directly,
-    with no further Groebner computation.  The stability certificate maps
-    (i, j) to the membership expression of phi_i(g_j)."""
+    with no further Groebner computation; `reduce` gives canonical residues.
+    The stability certificate maps (i, j) to the membership expression of
+    phi_i(g_j)."""
 
     def __init__(self, ring: BaseRing, phis, generators, stability_certificate=None):
         self.ring = ring
@@ -305,6 +329,7 @@ class PhiStableIdeal:
         self.generators = list(generators)
         self.stability_certificate = stability_certificate or {}
         self._divisors = _divisors(self.generators)
+        self._extension = None      # (ring[u_K], prepared basis), built by the first `reduce` that needs it
 
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.generators) or "0"
@@ -317,8 +342,22 @@ class PhiStableIdeal:
         return any(g.as_scalar() is not None and not g.as_scalar().is_zero()
                    for g in self.generators)
 
-    def contains(self, r: RingElement) -> bool:
-        return membership(r, self).member
+    def reduce(self, r: RingElement) -> RingElement:
+        """The canonical representative of r + Q, linear in r and zero exactly on Q.
+
+        Each K^-a of r is written u_K^a, reduced against the basis of
+        (generators, K*u_K - 1) and read back by u_K -> K^-1; no standard
+        monomial is divisible by K*u_K, so residues stay distinct.  A term free
+        of the u_K is divisible only by the u-free part of that basis, the generators."""
+        if r.ring != self.ring:
+            raise UnsupportedRing("element and ideal live in different rings")
+        if all(x >= 0 for e in r.terms for x in e):
+            return normal_form(r, self._divisors)
+        if self._extension is None:
+            ext = _RabinowitschRing(self.ring)
+            self._extension = ext, _divisors(ext.basis(self.generators, track=False)[0])
+        ext, divisors = self._extension
+        return ext.lower(normal_form(ext.lift(r), divisors))
 
     def __eq__(self, other):
         if not isinstance(other, PhiStableIdeal) or other.ring != self.ring:

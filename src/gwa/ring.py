@@ -245,12 +245,6 @@ class RingElement:
             return -1
         return max(exps[i] for exps in self.terms)
 
-    def min_degree_in(self, name: str) -> int:
-        i = self.ring.index(name)
-        if not self.terms:
-            return 0
-        return min(exps[i] for exps in self.terms)
-
     def involves(self, name: str) -> bool:
         i = self.ring.index(name)
         return any(exps[i] != 0 for exps in self.terms)

@@ -1,10 +1,13 @@
 """Whittaker modules: the universal action, quotients R/Q, annihilators,
 Whittaker vectors, simplicity verdicts, and endomorphism rings.
 
-A module is realized either as a MatrixModel (finite dimension, one exact
-matrix per algebra generator, basis vectors tagged with the ring elements
-they represent) or symbolically as R/Q with degree-truncated enumeration.  On
-a MatrixModel, Ann_R(w) (a Buchberger-Moller walk) and End(V) need no degree bound.
+Every residue modulo Q is the canonical one of `PhiStableIdeal.reduce`.  A
+finite-dimensional module also gets a MatrixModel (one exact matrix per
+algebra generator, basis vectors tagged with the ring elements they
+represent), built from those residues; an infinite one is R/Q itself, acted
+on through `WhittakerModule.act_residue`, with degree-truncated enumeration.
+On a MatrixModel, Ann_R(w) (a Buchberger-Moller walk) and End(V) need no
+degree bound.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .field import FieldElement, format_scalar
-from .ideals import (PhiStableIdeal, _certified, _degrevlex_key, _leading, membership, normal_form,
-                     phi_stable_ideal)
+from .ideals import PhiStableIdeal, _certified, _degrevlex_key, _leading, phi_stable_ideal
 from .linalg import (
     RowSpace,
     identity,
@@ -186,33 +188,20 @@ class MatrixModel:
         return mats
 
 
-class SymbolicRQ:
-    """R/Q with the induced action, evaluated through normal forms."""
-
-    def __init__(self, pres, zeta, Q: PhiStableIdeal):
-        self.pres = pres
-        self.zeta = zeta
-        self.Q = Q
-
-    def reduce(self, r: RingElement) -> RingElement:
-        if self.Q.is_zero():
-            return r
-        return normal_form(r, self.Q.generators)
-
-    def act_residue(self, a: GwaElement, r: RingElement) -> RingElement:
-        return self.reduce(universal_act(a, r, self.zeta))
-
-
 @dataclass
 class WhittakerModule:
     pres: GwaPresentation
     zeta: tuple
     Q: PhiStableIdeal
-    realization: object   # MatrixModel | SymbolicRQ
+    realization: MatrixModel | None     # None when R/Q is infinite-dimensional
 
     @property
     def is_matrix(self) -> bool:
-        return isinstance(self.realization, MatrixModel)
+        return self.realization is not None
+
+    def act_residue(self, a: GwaElement, r: RingElement) -> RingElement:
+        """The residue of a . (r + Q) in R/Q."""
+        return self.Q.reduce(universal_act(a, r, self.zeta))
 
     @property
     def dim(self):
@@ -252,20 +241,19 @@ def build_module(pres: GwaPresentation, Q, zeta) -> WhittakerModule:
     ring = pres.ring
     monos = _standard_monomials(ring, Q.generators)
     if monos is None:
-        return WhittakerModule(pres, zeta, Q, SymbolicRQ(pres, zeta, Q))
+        return WhittakerModule(pres, zeta, Q, None)
 
     index = {m: j for j, m in enumerate(monos)}
     dim = len(monos)
     field = ring.field
     basis_reps = [ring.monomial(m, field.one()) for m in monos]
 
-    def vector_of_poly(r: RingElement):
-        nf = normal_form(r, Q.generators)
+    def vector_of(r: RingElement):
         vec = [field.zero()] * dim
-        for exps, c in nf.terms.items():
+        for exps, c in Q.reduce(r).terms.items():
             j = index.get(exps)
             if j is None:
-                raise UnsupportedRing("normal form escaped the standard monomials")
+                raise InternalConsistencyError("a residue escaped the standard monomials")
             vec[j] = c
         return vec
 
@@ -273,34 +261,8 @@ def build_module(pres: GwaPresentation, Q, zeta) -> WhittakerModule:
         cols = [fn(rep) for rep in basis_reps]
         return [[cols[j][i] for j in range(dim)] for i in range(dim)]
 
-    # generator matrices only need polynomial reductions; once the Laurent
-    # generators have (invertible) matrices, arbitrary elements reduce through them
-    gen_mats = {}
-    for name in ring.gens:
-        g = ring.gen(name)
-        gen_mats[name] = matrix_from(lambda rep, g=g: vector_of_poly(g * rep))
-    gen_inv = {}
-    for name, l in zip(ring.gens, ring.laurent):
-        if l:
-            inv_mat = inverse(gen_mats[name], field)
-            if inv_mat is None:
-                raise NotAWhittakerPair(f"Laurent generator {name!r} is a zero divisor mod Q")
-            gen_inv[name] = inv_mat
-
-    def vector_of(r: RingElement):
-        shifted = r
-        shifts = {}
-        for name, l in zip(ring.gens, ring.laurent):
-            if l:
-                m = -min(0, shifted.min_degree_in(name))
-                if m:
-                    shifted = shifted * ring.gen(name, m)
-                    shifts[name] = m
-        vec = vector_of_poly(shifted)
-        for name, m in shifts.items():
-            for _ in range(m):
-                vec = mat_vec(gen_inv[name], vec)
-        return vec
+    gen_mats = {name: matrix_from(lambda rep, g=ring.gen(name): vector_of(g * rep))
+                for name in ring.gens}
 
     x_mats, y_mats = [], []
     for i in range(pres.n):
@@ -324,8 +286,7 @@ def build_module(pres: GwaPresentation, Q, zeta) -> WhittakerModule:
 
 def universal_module(pres: GwaPresentation, zeta) -> WhittakerModule:
     zeta = check_type(pres, zeta)
-    Q = PhiStableIdeal(pres.ring, pres.phis, [])
-    return WhittakerModule(pres, zeta, Q, SymbolicRQ(pres, zeta, Q))
+    return WhittakerModule(pres, zeta, PhiStableIdeal(pres.ring, pres.phis, []), None)
 
 
 def verify_relations(model: MatrixModel) -> list:
@@ -449,8 +410,7 @@ def recover_annihilator(V: WhittakerModule) -> PhiStableIdeal:
 def ann_w_member(V: WhittakerModule, a: GwaElement) -> bool:
     if V.is_matrix:
         return all(x.is_zero() for x in V.realization.act_vector(a, V.realization.w))
-    # membership, not a normal form: the residue may have negative Laurent exponents
-    return membership(universal_act(a, V.pres.ring.one(), V.zeta), V.Q).member
+    return V.act_residue(a, V.pres.ring.one()).is_zero()
 
 
 def ann_w_generators(V: WhittakerModule) -> list:
@@ -559,23 +519,15 @@ def ann_V_check(V: WhittakerModule, candidate_gens, degree: int = 4,
         images = [[x for row in model.act_matrix(a) for x in row] for a in elements]
     else:
         sample_degree = degree + 3 if sample_degree is None else sample_degree
-        sym = V.realization
-        std = ring_monomials(pres.ring, sample_degree)
-        residues = [pres.ring.monomial(m, field.one()) for m in std]
-        residues = [sym.reduce(r) for r in residues]
-        seen = set()
-        reps = []
-        for r in residues:
-            key = frozenset(r.terms.items())
-            if key and key not in seen:
-                seen.add(key)
-                reps.append(r)
+        residues = (V.Q.reduce(pres.ring.monomial(m, field.one()))
+                    for m in ring_monomials(pres.ring, sample_degree))
+        reps = list(dict.fromkeys(r for r in residues if r))     # distinct, in first-seen order
         for g in candidate_gens:
             for r in reps:
-                if not sym.act_residue(g, r).is_zero():
+                if not V.act_residue(g, r).is_zero():
                     return TruncatedIdealCheck(False, degree, -1, -1, g)
         images = [{(slot, e): c for slot, r in enumerate(reps)
-                   for e, c in sym.act_residue(a, r).terms.items()} for a in elements]
+                   for e, c in V.act_residue(a, r).terms.items()} for a in elements]
     kernel = linear_relations(images, field)
 
     span = _truncated_left_span(pres, candidate_gens, index, degree, slack)
@@ -648,14 +600,13 @@ def whittaker_vectors_symbolic(V: WhittakerModule, eta, degree: int) -> list:
     eigenvalue condition phi_i(r) = zeta_i^{-1} eta_i r mod Q."""
     pres = V.pres
     ring = pres.ring
-    sym = V.realization
     eta = tuple(eta)
     if len(eta) != pres.n:
         raise InvalidParameters("need one eta_i per index")
     lams = [z.inv() * e for z, e in zip(V.zeta, eta)]
     monos = [ring.monomial(m, ring.field.one()) for m in ring_monomials(ring, degree)]
     images = [{(i, e): c for i, lam in enumerate(lams)
-               for e, c in sym.reduce(pres.phis[i].apply(r) - r * lam).terms.items()}
+               for e, c in V.Q.reduce(pres.phis[i].apply(r) - r * lam).terms.items()}
               for r in monos]
     return [linear_combination(combo, monos, ring.zero())
             for combo in linear_relations(images, ring.field)]

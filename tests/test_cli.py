@@ -1,11 +1,13 @@
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from gwa.catalog import default_grid
-from gwa.cli import build_arg_parser, main
+from gwa.cli import EXIT_PIPE, build_arg_parser, main
 from gwa.core import format_element
 from gwa.parser import MAX_DIGITS, MAX_EXPONENT, parse_element
 
@@ -80,6 +82,16 @@ def test_normalize_literal_over_the_digit_cap_is_parse_error(config, capsys):
     code, out, err = run(capsys, "--config", path, "normalize", "3*X + " + "1" * (MAX_DIGITS + 1) + "*X")
     assert code == 2 and out == ""
     assert f"integer literal longer than {MAX_DIGITS} digits" in err and "position 6" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="integers print at any length before Python 3.11")
+def test_normalize_scalar_too_long_to_print_is_one_error_line(config, capsys):
+    # each literal is within the digit cap, but their product is not
+    path = config(WEYL1)
+    code, out, err = run(capsys, "--config", path, "normalize", f"({'9' * MAX_DIGITS})^2*X")
+    assert code == 1 and out == ""
+    assert err == "error: a Q scalar has too many digits to print\n"
 
 
 def test_normalize_config_error_exit3(capsys, tmp_path):
@@ -157,6 +169,29 @@ def test_module_ann_w_laurent_residue(config, capsys):
                            "module", "--annihilator", "c-2", "ann-w", text)
         assert code == 0
         assert json.loads(out)["member"] is member, text
+
+
+def test_module_act_laurent_residue(config, capsys):
+    # the residue of a*w is canonical even when it carries negative powers of K
+    path = config(QSMITH6)
+    for text, residue in (("K^-1*(c-2)", "0"), ("K^-1*c", "2*K^-1")):
+        code, out, _ = run(capsys, "--config", path, "--json",
+                           "module", "--annihilator", "c-2", "act", text)
+        assert code == 0
+        assert json.loads(out)["on_w"] == residue, text
+
+
+def test_closed_stdout_exits_quietly(config):
+    # the reader's end of the pipe is closed before the command writes anything
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "gwa.cli", "--config", config(QSMITH6), "--json",
+                             "module", "--annihilator", "c-2,K^3-2", "build"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_PIPE
+    assert err == b""
 
 
 def test_module_build_prints_the_saturated_annihilator(config, capsys):

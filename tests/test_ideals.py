@@ -443,13 +443,18 @@ def _ref_groebner(gens):
     return out_basis, out_tracks
 
 
+def _min_degree_in(r, name):
+    i = r.ring.index(name)
+    return min((exps[i] for exps in r.terms), default=0)
+
+
 def _ref_clear(r):
     """(r * u, u) for the Laurent monomial u that makes every exponent nonnegative."""
     ring = r.ring
     unit = ring.one()
     for name, laurent in zip(ring.gens, ring.laurent):
-        if laurent and min(0, r.min_degree_in(name)):
-            unit = unit * ring.gen(name, -r.min_degree_in(name))
+        if laurent and min(0, _min_degree_in(r, name)):
+            unit = unit * ring.gen(name, -_min_degree_in(r, name))
     return r * unit, unit
 
 
@@ -463,7 +468,7 @@ def _ref_membership(r, ring, gens):
     basis, tracks = _ref_groebner([_ref_clear(g)[0] for g in gens])
     r_poly, shift_unit = _ref_clear(r)
     laurents = [g for g, l in zip(ring.gens, ring.laurent) if l]
-    spread = max((g.degree_in(name) - min(0, g.min_degree_in(name))
+    spread = max((g.degree_in(name) - min(0, _min_degree_in(g, name))
                   for name in laurents for g in gens), default=0)
     bound = spread + max(0, r.degree()) if laurents else 0
     sat = ring.one()
@@ -661,3 +666,33 @@ def test_saturation_matches_sympy(name):
         assert {frozen(to_sympy(b)) for b in J.generators} == {frozen(e) for e in expected}, gens
         unsaturated += J.generators != groebner_basis(gens, track=False)[0]
     assert unsaturated, "no case exercised a saturation"
+
+
+@pytest.mark.parametrize("name", ["Q(zeta6)[c,K^+-1]", "Q[x,K^+-1]"])
+def test_reduce_is_the_canonical_residue(name):
+    ring = GROEBNER_RINGS[name]
+    pool = ring.field.sample_pool()
+    rng = random.Random(zlib.crc32((name + " reduce").encode()))
+    K = ring.gen("K")
+    seen = set()
+    for _ in range(8):
+        gens = [random_ring_element(rng, ring, 2, 3) for _ in range(rng.randint(1, 2))]
+        J = phi_stable_ideal(ring, [identity_automorphism(ring)], gens)
+        members = [random_ring_element(rng, ring, 2, 2) * g * K ** -rng.randint(0, 2)
+                   for g in J.generators]
+        for _ in range(4):
+            r = random_ring_element(rng, ring, 3, 3)
+            red = J.reduce(r)
+            res = membership(r, J)
+            assert red.is_zero() == res.member, (r, J)
+            seen.add(res.member)
+            diff = r - red
+            cert = membership(diff, J).certificate
+            assert cert is not None and certificate_holds(cert, diff, J.generators), (r, J)
+            assert J.reduce(red) == red
+            for m in members:
+                assert J.reduce(r + m) == red and J.reduce(m).is_zero()
+            s = random_ring_element(rng, ring, 3, 3)
+            a, b = rng.choice(pool), rng.choice(pool)
+            assert J.reduce(r * a + s * b) == red * a + J.reduce(s) * b
+    assert seen == {True, False}
