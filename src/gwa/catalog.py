@@ -25,7 +25,7 @@ from .errors import (
 )
 from .field import FieldElement, FieldSpec, cyclotomic_field, element_order, prime_field, rationals
 from .ideals import phi_stable_closure, phi_stable_ideal
-from .linalg import inverse, mat_eq, mat_mul, mat_vec, solve, zeros
+from .linalg import RowSpace, mul_rows, mul_vec, payload_rows, solve, zeros
 from .ring import Automorphism, BaseRing, RingElement
 from .whittaker import (
     MatrixModel,
@@ -396,6 +396,12 @@ def _finish_module(pres, zeta, Q_gens, gen_mats, x_mats, y_mats, w, basis_reps, 
     return WhittakerModule(pres, tuple(zeta), Q, model)
 
 
+def _relations_claim(model: MatrixModel) -> Claim:
+    failures = verify_relations(model)
+    return Claim("relations", "defining relations hold as matrix identities",
+                 not failures, "; ".join(failures))
+
+
 def _standard_claims(V: WhittakerModule, central_scalars, expect_simple, extra_claims=()):
     """The checks every theorem module runs: relations, Whittaker cyclicity,
     the annihilator, central scalars, simplicity, and agreement with R/Q."""
@@ -404,9 +410,7 @@ def _standard_claims(V: WhittakerModule, central_scalars, expect_simple, extra_c
     field = pres.ring.field
     claims = []
 
-    failures = verify_relations(model)
-    claims.append(Claim("relations", "defining relations hold as matrix identities",
-                        not failures, "; ".join(failures)))
+    claims.append(_relations_claim(model))
 
     # w generates V exactly when dim R/Ann_R(w) = dim R w is dim V
     recovered = recover_annihilator(V)
@@ -416,8 +420,7 @@ def _standard_claims(V: WhittakerModule, central_scalars, expect_simple, extra_c
                         repr(recovered.generators)))
 
     for label, elt, scalar in central_scalars:
-        mat = model.act_matrix(elt)
-        ok = mat_eq(mat, _diag(field, [scalar] * model.dim))
+        ok = model.act_rows(elt) == payload_rows(_diag(field, [scalar] * model.dim), field)
         claims.append(Claim(label, f"{label} acts as the stated scalar", ok))
 
     if expect_simple is not None:
@@ -442,18 +445,20 @@ def _rq_agreement_claim(V: WhittakerModule) -> Claim:
         return Claim("rq_model", "matches the R/Q construction", False,
                      f"R/Q model dimension {built.dim} != {model.dim}")
     B = built.realization
-    P = [[field.zero()] * model.dim for _ in range(model.dim)]
+    P = [{} for _ in range(model.dim)]
     for j, rep in enumerate(model.basis_reps):
-        col = B.vector_of_ring(rep)
-        for i in range(model.dim):
-            P[i][j] = col[i]
-    if inverse(P, field) is None:
+        for i, x in B.ring_vector(rep).items():
+            P[i][j] = x
+    span = RowSpace(field, model.dim)
+    for row in P:
+        span.add_payloads(row)
+    if span.dim < model.dim:
         return Claim("rq_model", "matches the R/Q construction", False,
                      "basis representatives are dependent in R/Q")
-    pairs = [(B.x_mats[i], model.x_mats[i]) for i in range(pres.n)]
-    pairs += [(B.y_mats[i], model.y_mats[i]) for i in range(pres.n)]
-    pairs += [(B.gen_mats[g], model.gen_mats[g]) for g in pres.ring.gens]
-    ok = all(mat_eq(mat_mul(Mb, P), mat_mul(P, Me)) for Mb, Me in pairs)
+    pairs = [(B.x_rows[i], model.x_rows[i]) for i in range(pres.n)]
+    pairs += [(B.y_rows[i], model.y_rows[i]) for i in range(pres.n)]
+    pairs += [(B.gen_rows[g], model.gen_rows[g]) for g in pres.ring.gens]
+    ok = all(mul_rows(Mb, P, field.ops) == mul_rows(P, Me, field.ops) for Mb, Me in pairs)
     return Claim("rq_model", "matches the R/Q construction", ok)
 
 
@@ -496,22 +501,17 @@ def _module_T83(tspec):
 def _chain_claim(V, alpha, zeta, n) -> Claim:
     """V = V_0 > V_1 > ... > V_n = 0 with v_k a Whittaker vector of type alpha^k zeta."""
     model = V.realization
-    field = model.field
+    ops = model.field.ops
     ok = True
     detail = ""
     for k in range(n):
-        ek = [field.one() if i == k else field.zero() for i in range(n)]
-        xv = mat_vec(model.x_mats[0], ek)
-        if xv != [alpha ** k * zeta * c for c in ek]:
+        ek = {k: model.field.one().payload}
+        if mul_vec(model.x_rows[0], ek, ops) != {k: (alpha ** k * zeta).payload}:
             ok, detail = False, f"v_{k} is not a Whittaker vector of type alpha^{k} zeta"
             break
         # the action maps span{v_k..} into itself
-        for m in model.action_generators():
-            img = mat_vec(m, ek)
-            if any(not img[j].is_zero() for j in range(k)):
-                ok, detail = False, f"span(v_{k}..) is not invariant"
-                break
-        if not ok:
+        if any(j < k for m in model.action_rows() for j in mul_vec(m, ek, ops)):
+            ok, detail = False, f"span(v_{k}..) is not invariant"
             break
     return Claim("chain", "the submodule chain of the theorem is present", ok, detail)
 
@@ -777,11 +777,12 @@ def smith_weyl_correspondence(p: int, lam: FieldElement, zeta: FieldElement) -> 
     if not rep_weyl.all_green:
         return False
     ms, mw = V_smith.realization, V_weyl.realization
-    t_prime = [[ms.gen_mats["h"][i][j] + (field.one() if i == j else field.zero())
+    h = ms.gen_mats["h"]
+    t_prime = [[h[i][j] + (field.one() if i == j else field.zero())
                 for j in range(p)] for i in range(p)]
-    return (mat_eq(t_prime, mw.gen_mats["t"])
-            and mat_eq(ms.x_mats[0], mw.x_mats[0])
-            and mat_eq(ms.y_mats[0], mw.y_mats[0]))
+    return (t_prime == mw.gen_mats["t"]
+            and ms.x_rows[0] == mw.x_rows[0]
+            and ms.y_rows[0] == mw.y_rows[0])
 
 
 def verify_family_facts(spec: FamilySpec, degree: int = 3, bound: int = 6) -> ClaimsReport:
@@ -830,17 +831,18 @@ def verify_family_facts(spec: FamilySpec, degree: int = 3, bound: int = 6) -> Cl
             model = V.realization
             om1 = (field.one() - q).inv()
             ok = rep.all_green
+            t, x, y = model.gen_mats["t"], model.x_mats[0], model.y_mats[0]
             for k in range(model.dim):
                 kk = (k + 1) % model.dim
-                if model.gen_mats["t"][kk][k] != q * om1 * theta:
+                if t[kk][k] != q * om1 * theta:
                     ok = False
-                if model.gen_mats["t"][k][k] != om1:
+                if t[k][k] != om1:
                     ok = False
-                if model.x_mats[0][k][k] != zeta * q ** (-k):
+                if x[k][k] != zeta * q ** (-k):
                     ok = False
-                if model.y_mats[0][kk][k] != zeta.inv() * q ** (k + 1) * om1 * theta:
+                if y[kk][k] != zeta.inv() * q ** (k + 1) * om1 * theta:
                     ok = False
-                if model.y_mats[0][k][k] != zeta.inv() * q ** (k + 1) * om1 * q.inv():
+                if y[k][k] != zeta.inv() * q ** (k + 1) * om1 * q.inv():
                     ok = False
             claims.append(Claim("root_of_unity_module",
                                 "the ell-dimensional module matches the displayed action", ok))

@@ -66,9 +66,29 @@ EXIT_RING = 4
 EXIT_HYPOTHESIS = 5
 EXIT_PIPE = 141
 
+# the degree bound of --degree and GWA_TRUNCATION; enumerations such as the
+# monic polynomials of `ideals classify` over F_p grow exponentially in it
+MAX_DEGREE = 32
+
 
 class ConfigError(GwaError):
     pass
+
+
+def _degree_bound(args) -> int:
+    """--degree, else $GWA_TRUNCATION, else 4; within 0..MAX_DEGREE."""
+    if args.degree is not None:
+        degree, source = args.degree, "--degree"
+    else:
+        text = os.environ.get("GWA_TRUNCATION", "4")
+        try:
+            degree = int(text)
+        except ValueError:
+            raise ConfigError(f"GWA_TRUNCATION must be an integer, got {text[:40]!r}") from None
+        source = "GWA_TRUNCATION"
+    if not 0 <= degree <= MAX_DEGREE:
+        raise ConfigError(f"{source} must lie in 0..{MAX_DEGREE}, got {degree}")
+    return degree
 
 
 def load_config(path: str) -> GwaPresentation:
@@ -435,9 +455,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    if args.degree is None:
-        args.degree = int(os.environ.get("GWA_TRUNCATION", "4"))
     try:
+        args.degree = _degree_bound(args)
         code = args.fn(args)
         sys.stdout.flush()
         return code

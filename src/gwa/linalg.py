@@ -1,9 +1,14 @@
 """Exact linear algebra over a coefficient field.
 
-Matrices are lists of rows of FieldElement; the kernels run on raw payloads
-through the field's op table and wrap each result once.  The one elimination
-engine is RowSpace, an incremental span that keeps its reduced row echelon rows
-sparse, as {column: payload} maps.  A span's reduced echelon form is unique, so
+The kernels run on payload rows: a matrix is a list of sparse rows
+{column: payload}, a vector one such row, with zeros dropped.  Payloads are
+canonical per field, so two payload matrices are equal exactly when their row
+dicts are.  `payload_rows` checks the field of a matrix of FieldElement (dense
+lists or sparse dicts) once and sparsifies it; `element_rows` wraps payload
+rows back into dense FieldElement rows.  `mul_rows` is the one product kernel,
+and mat_mul and mat_vec are "check, multiply, wrap" around it.  The one
+elimination engine is RowSpace, an incremental span that keeps its reduced row
+echelon rows as payload rows.  A span's reduced echelon form is unique, so
 rank, kernel_basis, solve and inverse read their answers off the RowSpace of
 the rows.  linear_relations(images, spec) is the kernel primitive: the basis of
 {c : sum_j c_j images[j] = 0} that kernel_basis gives for the matrix whose
@@ -22,58 +27,111 @@ def zeros(spec: FieldSpec, rows: int, cols: int):
     return [[z for _ in range(cols)] for _ in range(rows)]
 
 
-def identity(spec: FieldSpec, n: int):
-    m = zeros(spec, n, n)
-    one = spec.one()
-    for i in range(n):
-        m[i][i] = one
-    return m
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _nonzero_payloads(items, spec: FieldSpec) -> list:
-    """(key, payload) of the nonzero scalars among (key, scalar) items, which
-    must all lie in spec."""
+# -- payload rows ---------------------------------------------------------------
+
+
+def payload_row(v, spec: FieldSpec) -> dict:
+    """The payload row {column: payload} of a vector of scalars of spec, given
+    dense or as a sparse {column: scalar} dict."""
     is_zero = spec.ops[4]
-    out = []
-    for j, x in items:
+    out = {}
+    for j, x in (v.items() if isinstance(v, dict) else enumerate(v)):
         if x.spec is not spec and x.spec != spec:
             raise FieldMismatch(f"operands live in different fields: {spec!r} vs {x.spec!r}")
         if not is_zero(x.payload):
-            out.append((j, x.payload))
+            out[j] = x.payload
     return out
+
+
+def payload_rows(a, spec: FieldSpec) -> list:
+    return [payload_row(row, spec) for row in a]
+
+
+def element_rows(rows, spec: FieldSpec, width: int) -> list:
+    """Dense FieldElement rows of `width` entries from payload rows."""
+    zero = spec.zero()
+    out = []
+    for row in rows:
+        dense = [zero] * width
+        for j, x in row.items():
+            dense[j] = FieldElement(spec, x)
+        out.append(dense)
+    return out
+
+
+def mul_rows(a, b, ops) -> list:
+    """The product a b of payload matrices, with the entries that cancel dropped."""
+    add, mul, _, _, is_zero = ops
+    out = []
+    for row in a:
+        acc = {}
+        for t, x in row.items():
+            for j, y in b[t].items():
+                s = acc.get(j)
+                acc[j] = mul(x, y) if s is None else add(s, mul(x, y))
+        out.append({j: s for j, s in acc.items() if not is_zero(s)})
+    return out
+
+
+def mul_vec(a, v: dict, ops) -> dict:
+    """a v for a square payload matrix and a payload row v, through mul_rows
+    with v as a one-column matrix."""
+    column = [{0: v[j]} if j in v else {} for j in range(len(a))]
+    return {i: row[0] for i, row in enumerate(mul_rows(a, column, ops)) if row}
+
+
+def sum_rows(terms, ops, n: int) -> list:
+    """sum_k c_k M_k over (payload c_k, payload matrix M_k of n rows) pairs."""
+    add, mul, _, _, is_zero = ops
+    out = [{} for _ in range(n)]
+    for c, m in terms:
+        for acc, row in zip(out, m):
+            for j, x in row.items():
+                x = mul(c, x)
+                s = acc.get(j)
+                acc[j] = x if s is None else add(s, x)
+    return [{j: x for j, x in acc.items() if not is_zero(x)} for acc in out]
+
+
+def inverse_rows(rows, spec: FieldSpec) -> list | None:
+    """The inverse of a square payload matrix, or None when it is singular."""
+    n = len(rows)
+    one = spec.one().payload
+    space = RowSpace(spec, 2 * n)
+    for i, row in enumerate(rows):
+        space.add_payloads({**row, n + i: one})
+    if any(p not in space._rows for p in range(n)):
+        return None
+    return [{j - n: x for j, x in space._rows[p].items() if j >= n} for p in range(n)]
+
+
+def payload_relations(images, spec: FieldSpec) -> list:
+    """linear_relations for images given as payload rows."""
+    rows = {}
+    for j, image in enumerate(images):
+        for k, x in image.items():
+            rows.setdefault(k, {})[j] = x
+    space = RowSpace(spec, len(images))
+    for row in rows.values():
+        space.add_payloads(row)
+    return _free_column_basis(space)
+
+
+# -- FieldElement matrices --------------------------------------------------------
 
 
 def mat_mul(a, b):
     spec = b[0][0].spec
-    add, mul = spec.ops[:2]
-    zero = spec.zero()
-    m = len(b[0])
-    b = [_nonzero_payloads(enumerate(row), spec) for row in b]
-    out = []
-    for row in a:
-        acc = [None] * m
-        for t, x in _nonzero_payloads(enumerate(row), spec):
-            for j, y in b[t]:
-                s = acc[j]
-                acc[j] = mul(x, y) if s is None else add(s, mul(x, y))
-        out.append([zero if s is None else FieldElement(spec, s) for s in acc])
-    return out
+    return element_rows(mul_rows(payload_rows(a, spec), payload_rows(b, spec), spec.ops),
+                        spec, len(b[0]))
 
 
 def mat_vec(a, v):
     return mat_mul([v], transpose(a))[0] if a else []
-
-
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def is_zero_matrix(a) -> bool:
-    return all(x.is_zero() for row in a for x in row)
 
 
 def transpose(a):
@@ -95,12 +153,7 @@ def kernel_basis(a, spec: FieldSpec):
 
 def linear_relations(images, spec: FieldSpec):
     """Basis of the relations {c : sum_j c_j images[j] = 0}."""
-    rows = {}
-    for j, image in enumerate(images):
-        for k, x in (image.items() if isinstance(image, dict) else enumerate(image)):
-            if not x.is_zero():
-                rows.setdefault(k, {})[j] = x
-    return _free_column_basis(_row_space(rows.values(), spec, len(images)))
+    return payload_relations([payload_row(image, spec) for image in images], spec)
 
 
 def linear_combination(coeffs, elements, zero):
@@ -127,13 +180,8 @@ def solve(a, b, spec: FieldSpec):
 
 
 def inverse(a, spec: FieldSpec):
-    n = len(a)
-    aug = [list(row) + list(idr) for row, idr in zip(a, identity(spec, n))]
-    space = _row_space(aug, spec, 2 * n)
-    if any(p not in space.by_pivot for p in range(n)):
-        return None
-    zero = spec.zero()
-    return [[space.by_pivot[p].get(n + j, zero) for j in range(n)] for p in range(n)]
+    inv = inverse_rows(payload_rows(a, spec), spec)
+    return None if inv is None else element_rows(inv, spec, len(a))
 
 
 def _row_space(rows, spec: FieldSpec, width: int) -> RowSpace:
@@ -162,10 +210,10 @@ def _free_column_basis(space: RowSpace) -> list:
 class RowSpace:
     """Incrementally built row space with membership testing.
 
-    The basis is kept in reduced row echelon form, one sparse row
-    {column: payload} per pivot column, with a one at its pivot and zeros
-    (absent keys) at every other pivot.  Vectors may be given dense, as lists
-    of `width` scalars, or sparse, as {column: scalar} dicts.  `by_pivot` is a
+    The basis is kept in reduced row echelon form, one payload row per pivot
+    column, with a one at its pivot and zeros (absent keys) at every other
+    pivot.  Vectors may be given dense, as lists of `width` scalars, or sparse,
+    as {column: scalar} dicts; add_payloads takes a payload row as it is.  `by_pivot` is a
     read-only view of the same rows with FieldElement entries, built on first
     read and dropped whenever the space grows.
     """
@@ -176,8 +224,8 @@ class RowSpace:
         self._rows = {}         # pivot column -> sparse reduced row of payloads
         self._view = None
 
-    def _reduce(self, v) -> dict:
-        v = dict(_nonzero_payloads(v.items() if isinstance(v, dict) else enumerate(v), self.spec))
+    def _reduce(self, v: dict) -> dict:
+        """v reduced in place against the basis rows."""
         # a reduced row is zero at every other pivot, so clearing one pivot
         # never refills another: one pass over the pivots in the support does
         rows, ops = self._rows, self.spec.ops
@@ -187,6 +235,14 @@ class RowSpace:
 
     def add(self, v) -> bool:
         """Insert the vector; returns True when it enlarged the space."""
+        return self._insert(payload_row(v, self.spec))
+
+    def add_payloads(self, v) -> bool:
+        """add for a payload row of this field, a {column: nonzero payload}
+        mapping, which is not checked and not modified."""
+        return self._insert(dict(v))
+
+    def _insert(self, v: dict) -> bool:
         v = self._reduce(v)
         if not v:
             return False
@@ -203,7 +259,7 @@ class RowSpace:
         return True
 
     def contains(self, v) -> bool:
-        return not self._reduce(v)
+        return not self._reduce(payload_row(v, self.spec))
 
     @property
     def by_pivot(self) -> dict:

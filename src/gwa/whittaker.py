@@ -29,16 +29,21 @@ from .field import FieldElement, format_scalar
 from .ideals import PhiStableIdeal, _certified, _degrevlex_key, _leading, phi_stable_ideal
 from .linalg import (
     RowSpace,
-    identity,
+    element_rows,
     inverse,
-    is_zero_matrix,
+    inverse_rows,
     kernel_basis,
     linear_combination,
     linear_relations,
-    mat_eq,
     mat_mul,
     mat_sub,
     mat_vec,
+    mul_rows,
+    mul_vec,
+    payload_relations,
+    payload_row,
+    payload_rows,
+    sum_rows,
     transpose,
     zeros,
 )
@@ -93,6 +98,15 @@ class MatrixModel:
     basis_reps[j] is a ring element r_j with basis vector v_j = r_j . w, so the
     coordinate map doubles as the isomorphism V ~ R/Q.
 
+    The model keeps its matrices as payload rows (see linalg): x_rows, y_rows,
+    gen_rows and gen_inv_rows, and w as the payload row w_row.  The stated
+    FieldElement matrices are checked for their field and converted once, here;
+    x_mats, y_mats, gen_mats and w are FieldElement views built from the
+    payload form on each read.  The payload methods (ring_rows, ring_vector,
+    z_rows, act_rows, action_rows) may return rows the model shares, which
+    callers must not modify; matrix_of_ring, vector_of_ring, act_matrix,
+    act_vector and action_generators return FieldElement copies.
+
     The action of a ring monomial G^e = G_1^e_1 ... G_k^e_k is cached twice,
     per exponent tuple: as a matrix, built from the cached G^(e - e_last) by
     one product with the last nonzero slot's generator (or inverse) matrix,
@@ -101,39 +115,70 @@ class MatrixModel:
 
     def __init__(self, pres, zeta, gen_mats, x_mats, y_mats, w, basis_reps, labels=None):
         self.pres = pres
-        self.zeta = zeta
-        self.gen_mats = dict(gen_mats)
-        self.x_mats = list(x_mats)
-        self.y_mats = list(y_mats)
-        self.w = list(w)
+        self.zeta = check_type(pres, zeta)
         self.basis_reps = list(basis_reps)
-        self.dim = len(w)
+        self.dim = d = len(w)
         self.labels = labels or [repr(r) for r in basis_reps]
-        self.field = pres.ring.field
-        self.gen_inv_mats = {}
+        self.field = field = pres.ring.field
+
+        def checked(m):
+            if len(m) != d or any(len(row) != d for row in m):
+                raise InvalidParameters(f"every matrix of the model must be {d} x {d}")
+            return payload_rows(m, field)
+
+        self.gen_rows = {name: checked(m) for name, m in gen_mats.items()}
+        self.x_rows = [checked(m) for m in x_mats]
+        self.y_rows = [checked(m) for m in y_mats]
+        self.w_row = payload_row(w, field)
+        self.gen_inv_rows = {}
         for name, l in zip(pres.ring.gens, pres.ring.laurent):
             if l:
-                inv = inverse(self.gen_mats[name], self.field)
+                inv = inverse_rows(self.gen_rows[name], field)
                 if inv is None:
                     raise InvalidParameters(f"Laurent generator {name!r} acts non-invertibly")
-                self.gen_inv_mats[name] = inv
+                self.gen_inv_rows[name] = inv
         one = (0,) * len(pres.ring.gens)
-        self._monomial_mats = {one: identity(self.field, self.dim)}
-        self._monomial_vecs = {one: self.w}
+        self._identity = [{i: field.one().payload} for i in range(d)]
+        self._monomial_mats = {one: self._identity}
+        self._monomial_vecs = {one: self.w_row}
+
+    # -- FieldElement views of the payload form --------------------------------
+
+    def _view(self, rows):
+        return element_rows(rows, self.field, self.dim)
+
+    @property
+    def x_mats(self):
+        return [self._view(m) for m in self.x_rows]
+
+    @property
+    def y_mats(self):
+        return [self._view(m) for m in self.y_rows]
+
+    @property
+    def gen_mats(self):
+        return {name: self._view(m) for name, m in self.gen_rows.items()}
+
+    @property
+    def w(self):
+        return self._view([self.w_row])[0]
+
+    # -- payload form ----------------------------------------------------------
 
     def _step(self, exps, slot):
         """(exps moved one step toward zero in slot, that step's matrix)."""
         e = exps[slot]
         name = self.pres.ring.gens[slot]
         prev = exps[:slot] + (e - 1 if e > 0 else e + 1,) + exps[slot + 1:]
-        return prev, self.gen_mats[name] if e > 0 else self.gen_inv_mats[name]
+        return prev, self.gen_rows[name] if e > 0 else self.gen_inv_rows[name]
 
     def _monomial_matrix(self, exps):
         m = self._monomial_mats.get(exps)
         if m is None:
             last = max(i for i, e in enumerate(exps) if e)
             prev, step = self._step(exps, last)
-            m = mat_mul(self._monomial_matrix(prev), step)
+            m = self._monomial_matrix(prev)
+            m = step if m is self._identity else mul_rows(m, step, self.field.ops)
             self._monomial_mats[exps] = m
         return m
 
@@ -142,50 +187,60 @@ class MatrixModel:
         if v is None:
             first = next(i for i, e in enumerate(exps) if e)
             prev, step = self._step(exps, first)
-            v = mat_vec(step, self._monomial_vector(prev))
+            v = mul_vec(step, self._monomial_vector(prev), self.field.ops)
             self._monomial_vecs[exps] = v
         return v
 
-    def matrix_of_ring(self, r: RingElement):
-        out = zeros(self.field, self.dim, self.dim)
-        for exps, c in r.terms.items():
-            m = self._monomial_matrix(exps)
-            for row, mrow in zip(out, m):
-                for j, x in enumerate(mrow):
-                    if not x.is_zero():
-                        row[j] = row[j] + c * x
-        return out
+    def _coefficients(self, r: RingElement):
+        if r.ring is not self.pres.ring and r.ring != self.pres.ring:
+            raise PresentationMismatch("the ring element lives in the wrong ring")
+        return ((exps, c.payload) for exps, c in r.terms.items())
 
-    def vector_of_ring(self, r: RingElement):
-        out = [self.field.zero()] * self.dim
-        for exps, c in r.terms.items():
-            for i, x in enumerate(self._monomial_vector(exps)):
-                if not x.is_zero():
-                    out[i] = out[i] + c * x
-        return out
+    def ring_rows(self, r: RingElement) -> list:
+        return sum_rows(((c, self._monomial_matrix(exps)) for exps, c in self._coefficients(r)),
+                        self.field.ops, self.dim)
 
-    def z_matrix(self, alpha):
-        m = identity(self.field, self.dim)
+    def ring_vector(self, r: RingElement) -> dict:
+        """The payload row of r . w."""
+        return sum_rows(((c, [self._monomial_vector(exps)]) for exps, c in self._coefficients(r)),
+                        self.field.ops, 1)[0]
+
+    def z_rows(self, alpha) -> list:
+        m = self._identity
         for i, e in enumerate(alpha):
-            step = self.x_mats[i] if e > 0 else self.y_mats[i]
+            step = self.x_rows[i] if e > 0 else self.y_rows[i]
             for _ in range(abs(e)):
-                m = mat_mul(m, step)
+                m = step if m is self._identity else mul_rows(m, step, self.field.ops)
         return m
 
-    def act_matrix(self, a: GwaElement):
-        out = zeros(self.field, self.dim, self.dim)
+    def act_rows(self, a: GwaElement) -> list:
+        ops, one = self.field.ops, self.field.one().payload
+        terms = []
         for alpha, coeff in a.terms.items():
-            m = mat_mul(self.matrix_of_ring(coeff), self.z_matrix(alpha))
-            out = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(out, m)]
-        return out
+            m, z = self.ring_rows(coeff), self.z_rows(alpha)
+            terms.append((one, m if z is self._identity else mul_rows(m, z, ops)))
+        return sum_rows(terms, ops, self.dim)
+
+    def action_rows(self) -> list:
+        return (self.x_rows + self.y_rows + list(self.gen_rows.values())
+                + list(self.gen_inv_rows.values()))
+
+    # -- FieldElement results --------------------------------------------------
+
+    def matrix_of_ring(self, r: RingElement):
+        return self._view(self.ring_rows(r))
+
+    def vector_of_ring(self, r: RingElement):
+        return self._view([self.ring_vector(r)])[0]
+
+    def act_matrix(self, a: GwaElement):
+        return self._view(self.act_rows(a))
 
     def act_vector(self, a: GwaElement, v):
-        return mat_vec(self.act_matrix(a), v)
+        return self._view([mul_vec(self.act_rows(a), payload_row(v, self.field), self.field.ops)])[0]
 
     def action_generators(self):
-        mats = list(self.x_mats) + list(self.y_mats) + list(self.gen_mats.values())
-        mats += list(self.gen_inv_mats.values())
-        return mats
+        return [self._view(m) for m in self.action_rows()]
 
 
 @dataclass
@@ -292,33 +347,38 @@ def universal_module(pres: GwaPresentation, zeta) -> WhittakerModule:
 def verify_relations(model: MatrixModel) -> list:
     """All GWA defining relations as exact matrix identities; returns failures."""
     pres = model.pres
+    ops = model.field.ops
+
+    def mul(a, b):
+        return mul_rows(a, b, ops)
+
     failures = []
     for i in range(pres.n):
-        X, Y = model.x_mats[i], model.y_mats[i]
-        if not mat_eq(mat_mul(Y, X), model.matrix_of_ring(pres.ts[i])):
+        X, Y = model.x_rows[i], model.y_rows[i]
+        phi = pres.phis[i]
+        if mul(Y, X) != model.ring_rows(pres.ts[i]):
             failures.append(f"Y_{i} X_{i} != t_{i}")
-        if not mat_eq(mat_mul(X, Y), model.matrix_of_ring(pres.phis[i].apply(pres.ts[i]))):
+        if mul(X, Y) != model.ring_rows(phi.apply(pres.ts[i])):
             failures.append(f"X_{i} Y_{i} != phi_{i}(t_{i})")
         for name in pres.ring.gens:
             g = pres.ring.gen(name)
-            Mg = model.gen_mats[name]
-            if not mat_eq(mat_mul(X, Mg), mat_mul(model.matrix_of_ring(pres.phis[i].apply(g)), X)):
+            Mg = model.gen_rows[name]
+            if mul(X, Mg) != mul(model.ring_rows(phi.apply(g)), X):
                 failures.append(f"X_{i} {name} != phi_{i}({name}) X_{i}")
-            if not mat_eq(mat_mul(Y, Mg), mat_mul(model.matrix_of_ring(pres.phis[i].inverse().apply(g)), Y)):
+            if mul(Y, Mg) != mul(model.ring_rows(phi.inverse().apply(g)), Y):
                 failures.append(f"Y_{i} {name} != phi_{i}^-1({name}) Y_{i}")
         for j in range(i + 1, pres.n):
-            for A, an in ((model.x_mats[i], f"X_{i}"), (model.y_mats[i], f"Y_{i}")):
-                for B, bn in ((model.x_mats[j], f"X_{j}"), (model.y_mats[j], f"Y_{j}")):
-                    if not mat_eq(mat_mul(A, B), mat_mul(B, A)):
+            for A, an in ((model.x_rows[i], f"X_{i}"), (model.y_rows[i], f"Y_{i}")):
+                for B, bn in ((model.x_rows[j], f"X_{j}"), (model.y_rows[j], f"Y_{j}")):
+                    if mul(A, B) != mul(B, A):
                         failures.append(f"[{an}, {bn}] != 0")
     for na, nb in itertools.combinations(pres.ring.gens, 2):
-        if not mat_eq(mat_mul(model.gen_mats[na], model.gen_mats[nb]),
-                      mat_mul(model.gen_mats[nb], model.gen_mats[na])):
+        if mul(model.gen_rows[na], model.gen_rows[nb]) != mul(model.gen_rows[nb], model.gen_rows[na]):
             failures.append(f"[{na}, {nb}] != 0")
     # the cyclic vector is a Whittaker vector of the right type
     for i in range(pres.n):
-        xw = mat_vec(model.x_mats[i], model.w)
-        if xw != [model.zeta[i] * c for c in model.w]:
+        z = model.zeta[i].payload
+        if mul_vec(model.x_rows[i], model.w_row, ops) != {j: ops[1](z, x) for j, x in model.w_row.items()}:
             failures.append(f"X_{i} w != zeta_{i} w")
     return failures
 
@@ -392,9 +452,9 @@ def recover_annihilator(V: WhittakerModule) -> PhiStableIdeal:
         if any(all(a <= b for a, b in zip(lead, m)) for lead in leads):
             continue
         image, mono = V.realization._monomial_vector(m), ring.monomial(m, ring.field.one())
-        if not space.add(image):
+        if not space.add_payloads(image):
             # the standard images are independent, so the one relation ends in a one
-            (relation,) = linear_relations(images + [image], ring.field)
+            (relation,) = payload_relations(images + [image], ring.field)
             leads.append(m)
             basis.append(linear_combination(relation, standard + [mono], ring.zero()))
             continue
@@ -409,7 +469,8 @@ def recover_annihilator(V: WhittakerModule) -> PhiStableIdeal:
 
 def ann_w_member(V: WhittakerModule, a: GwaElement) -> bool:
     if V.is_matrix:
-        return all(x.is_zero() for x in V.realization.act_vector(a, V.realization.w))
+        model = V.realization
+        return not mul_vec(model.act_rows(a), model.w_row, model.field.ops)
     return V.act_residue(a, V.pres.ring.one()).is_zero()
 
 
@@ -478,7 +539,8 @@ def thm43_truncated_check(V: WhittakerModule, degree: int = 4, slack: int = 2) -
     basis = algebra_basis(pres, degree)
     index = {key: j for j, key in enumerate(basis)}
     elements = _basis_elements(pres, basis)
-    kernel = linear_relations([model.act_vector(a, model.w) for a in elements], field)
+    kernel = payload_relations([mul_vec(model.act_rows(a), model.w_row, field.ops)
+                                for a in elements], field)
 
     span = _truncated_left_span(pres, ann_w_generators(V), index, degree, slack)
     witness = None
@@ -514,9 +576,10 @@ def ann_V_check(V: WhittakerModule, candidate_gens, degree: int = 4,
     if V.is_matrix:
         model = V.realization
         for g in candidate_gens:
-            if not is_zero_matrix(model.act_matrix(g)):
+            if any(model.act_rows(g)):
                 return TruncatedIdealCheck(False, degree, -1, -1, g)
-        images = [[x for row in model.act_matrix(a) for x in row] for a in elements]
+        kernel = payload_relations([{(i, j): x for i, row in enumerate(model.act_rows(a))
+                                     for j, x in row.items()} for a in elements], field)
     else:
         sample_degree = degree + 3 if sample_degree is None else sample_degree
         residues = (V.Q.reduce(pres.ring.monomial(m, field.one()))
@@ -528,7 +591,7 @@ def ann_V_check(V: WhittakerModule, candidate_gens, degree: int = 4,
                     return TruncatedIdealCheck(False, degree, -1, -1, g)
         images = [{(slot, e): c for slot, r in enumerate(reps)
                    for e, c in V.act_residue(a, r).terms.items()} for a in elements]
-    kernel = linear_relations(images, field)
+        kernel = linear_relations(images, field)
 
     span = _truncated_left_span(pres, candidate_gens, index, degree, slack)
     for vec in kernel:
@@ -643,24 +706,28 @@ def is_simple(V: WhittakerModule, seed: int = 0, random_trials: int = 20) -> Sim
     if d == 0:
         raise NotAWhittakerPair("the zero module is not a Whittaker module")
 
-    gens = model.action_generators()
+    # the Burnside closure: products of the generators, as flattened payload
+    # rows, until the algebra they span is all of M_d or no product is new
+    gens = model.action_rows()
+    ops = field.ops
+    one = field.one().payload
     algebra = RowSpace(field, d * d)
-    frontier = [identity(field, d)]
-    algebra.add([x for row in frontier[0] for x in row])
+    frontier = [[{i: one} for i in range(d)]]
+    algebra.add_payloads({i * d + i: one for i in range(d)})
     while frontier and algebra.dim < d * d:
         new = []
-        for m in frontier:
-            for g in gens:
-                prod = mat_mul(m, g)
-                flat = [x for row in prod for x in row]
-                if algebra.add(flat):
-                    new.append(prod)
+        for m, g in itertools.product(frontier, gens):
+            if algebra.dim == d * d:
+                break
+            prod = mul_rows(m, g, ops)
+            if algebra.add_payloads({i * d + j: x for i, row in enumerate(prod) for j, x in row.items()}):
+                new.append(prod)
         frontier = new
     if algebra.dim == d * d:
         return SimplicityVerdict("simple", "burnside")
 
     candidates = []
-    for g in gens:
+    for g in model.action_generators():
         # first-occurrence order: a set's order follows hashes that differ
         # between processes, and would make the reported submodule vary
         for mu in dict.fromkeys(g[i][i] for i in range(d)):
@@ -674,18 +741,18 @@ def is_simple(V: WhittakerModule, seed: int = 0, random_trials: int = 20) -> Sim
         candidates.append([rng.choice(pool) for _ in range(d)])
 
     for v in candidates:
-        if all(x.is_zero() for x in v):
+        v = payload_row(v, field)
+        if not v:
             continue
         space = RowSpace(field, d)
-        space.add(v)
+        space.add_payloads(v)
         frontier = [v]
         while frontier:
             new = []
-            for u in frontier:
-                for g in gens:
-                    img = mat_vec(g, u)
-                    if space.add(img):
-                        new.append(img)
+            for u, g in itertools.product(frontier, gens):
+                img = mul_vec(g, u, ops)
+                if space.add_payloads(img):
+                    new.append(img)
             frontier = new
         if 0 < space.dim < d:
             return SimplicityVerdict("not_simple", None, space.rows)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from gwa.catalog import default_grid
-from gwa.cli import EXIT_PIPE, build_arg_parser, main
+from gwa.cli import EXIT_CONFIG, EXIT_PIPE, MAX_DEGREE, build_arg_parser, main
 from gwa.core import format_element
 from gwa.parser import MAX_DIGITS, MAX_EXPONENT, parse_element
 
@@ -98,6 +98,24 @@ def test_normalize_config_error_exit3(capsys, tmp_path):
     missing = str(tmp_path / "nope.json")
     code, _, err = run(capsys, "--config", missing, "normalize", "X")
     assert code == 3
+
+
+@pytest.mark.parametrize("env, argv", [
+    ("abc", ()),
+    ("-1", ()),
+    (str(MAX_DEGREE + 1), ()),
+    (None, ("--degree", "-1")),
+    (None, ("--degree", str(MAX_DEGREE + 1))),
+])
+def test_degree_bound_out_of_range_is_config_error(config, capsys, monkeypatch, env, argv):
+    path = config(WEYL1)
+    if env is None:
+        monkeypatch.delenv("GWA_TRUNCATION", raising=False)
+    else:
+        monkeypatch.setenv("GWA_TRUNCATION", env)
+    code, out, err = run(capsys, "--config", path, *argv, "center")
+    assert code == EXIT_CONFIG
+    assert out == "" and err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_normalize_json_round_trip(config, capsys):

@@ -9,6 +9,7 @@ references must agree on every return value, whatever order the vectors come in.
 used before its kernels ran on raw payloads.
 """
 
+import itertools
 import random
 import zlib
 
@@ -18,10 +19,10 @@ import gwa.linalg as linalg
 import gwa.whittaker
 from gwa.errors import FieldMismatch, InvalidParameters
 from gwa.field import FieldElement, FieldSpec, cyclotomic_field, prime_field, rational_functions, rationals
-from gwa.linalg import RowSpace, identity, transpose
+from gwa.linalg import RowSpace, transpose
 from gwa.whittaker import build_module, endo_ring, is_simple
 
-from util import univariate_affine
+from util import identity, random_ring_element, univariate_affine
 
 FIELDS = [rationals(), prime_field(5), cyclotomic_field(6)]
 # the row-space and product references also run over Q(q), whose payloads are
@@ -65,6 +66,13 @@ class DenseRowSpace:
         self.rows = [self.rows[i] for i in order]
         self.pivots = [self.pivots[i] for i in order]
         return True
+
+    def add_payloads(self, v) -> bool:
+        """add for a payload row {column: payload}, RowSpace's unchecked entry."""
+        row = [self.spec.zero()] * self.width
+        for j, x in dict(v).items():
+            row[j] = FieldElement(self.spec, x)
+        return self.add(row)
 
     def contains(self, v) -> bool:
         return all(x.is_zero() for x in self._reduce(v))
@@ -316,6 +324,53 @@ def test_products_match_element_reference(spec):
                 got = linalg.mat_vec(left, v)
                 assert got == ref_mat_vec(left, v), name
                 assert all(isinstance(x, FieldElement) and x.spec == spec for x in got)
+
+
+def _stacked(a, b, b2):
+    """(a | -a) and (b ; b2), whose product a (b - b2) cancels entry by entry
+    wherever b and b2 agree."""
+    return [list(row) + [-x for x in row] for row in a], list(b) + list(b2)
+
+
+@pytest.mark.parametrize("spec", ALL_FIELDS, ids=str)
+def test_payload_kernel_matches_element_reference(spec):
+    """mul_rows, its row-dict equality and MatrixModel.matrix_of_ring against
+    ref_mat_mul, on sparse matrices and on products that cancel, partly or to zero."""
+    rng = random.Random(zlib.crc32(("payload kernel " + repr(spec)).encode()))
+    ops = spec.ops
+    for trial in range(12):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = random_matrix(rng, spec, n, k), random_matrix(rng, spec, k, m)
+        changed = [list(row) for row in b]
+        changed[rng.randrange(k)][rng.randrange(m)] = rng.choice(spec.sample_pool())
+        products = []
+        for left, right in [(a, b), _stacked(a, b, b), _stacked(a, b, changed)]:
+            ref = ref_mat_mul(left, right)
+            got = linalg.mul_rows(linalg.payload_rows(left, spec), linalg.payload_rows(right, spec), ops)
+            assert got == linalg.payload_rows(ref, spec)
+            assert linalg.element_rows(got, spec, m) == ref
+            products.append((got, ref))
+        assert products[1][0] == [{}] * n
+        for (got1, ref1), (got2, ref2) in itertools.combinations(products, 2):
+            assert (got1 == got2) == (ref1 == ref2)
+
+    pres = univariate_affine(spec, spec.one(), spec.zero())
+    d = 4
+    t = random_matrix(rng, spec, d, d)
+    model = gwa.whittaker.MatrixModel(
+        pres, (spec.one(),), {"t": t}, [t], [t], [spec.one()] * d, [pres.ring.one()] * d)
+    powers = [identity(spec, d)]
+    for _ in range(4):
+        powers.append(ref_mat_mul(powers[-1], t))
+    for trial in range(8):
+        r = random_ring_element(rng, pres.ring, max_degree=4, n_terms=4)
+        if trial == 0:
+            r = r - r
+        ref = [[spec.zero()] * d for _ in range(d)]
+        for (e,), c in r.terms.items():
+            ref = [[x + c * y for x, y in zip(rr, rp)] for rr, rp in zip(ref, powers[e])]
+        assert model.matrix_of_ring(r) == ref
+        assert model.ring_rows(r) == linalg.payload_rows(ref, spec)
 
 
 # -- the dense reference for rank, kernel_basis, solve and inverse ------------

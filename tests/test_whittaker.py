@@ -6,6 +6,7 @@ import pytest
 
 from gwa.catalog import (
     FamilySpec,
+    _relations_claim,
     _standard_claims,
     build_family,
     build_theorem_module,
@@ -13,12 +14,13 @@ from gwa.catalog import (
     tilde_t,
 )
 from gwa.core import gwa_mul
-from gwa.errors import InvalidParameters, NotAWhittakerPair, NotPhiStable
+from gwa.errors import FieldMismatch, InvalidParameters, NotAWhittakerPair, NotPhiStable
 from gwa.field import cyclotomic_field, prime_field, rationals
 from gwa.ideals import ideal_equal_gens, phi_stable_ideal
 from gwa.linalg import (
     RowSpace,
-    identity,
+    element_rows,
+    inverse,
     kernel_basis,
     linear_combination,
     linear_relations,
@@ -49,7 +51,7 @@ from gwa.whittaker import (
     whittaker_vectors_symbolic,
 )
 
-from util import random_gwa_element, random_ring_element, univariate_affine, weyl1
+from util import identity, random_gwa_element, random_ring_element, univariate_affine, weyl1
 
 Q = rationals()
 
@@ -94,6 +96,43 @@ def test_build_module_matrix_case():
     # X v_k = alpha^k zeta v_k on the monomial basis {1, t}
     X = V.realization.x_mats[0]
     assert X[0][0] == Q.one() and X[1][1] == Q.from_int(2)
+
+
+def _rebuilt(V, x_mats, y_mats, gen_mats):
+    model = V.realization
+    return MatrixModel(V.pres, V.zeta, gen_mats, x_mats, y_mats, model.w,
+                       model.basis_reps, model.labels)
+
+
+@pytest.mark.parametrize("theorem, other", [("T8.3", prime_field(7)), ("T9", rationals()),
+                                            ("T10", prime_field(5))])
+def test_relations_check_names_a_changed_entry(theorem, other):
+    """Over Q, F_3 and Q(zeta6): a model rebuilt from the views is green, one
+    entry changed in X, Y or a ring generator's matrix breaks a relation that
+    names it, and an entry from another field is refused at construction."""
+    V, report = build_theorem_module(default_grid(theorem)[-1 if theorem == "T8.3" else 0])
+    assert report.all_green
+    model = V.realization
+    ring = V.pres.ring
+    name = next(g for g, l in zip(ring.gens, ring.laurent) if not l)
+    x, y, gens = model.x_mats, model.y_mats, model.gen_mats
+    same = _rebuilt(V, x, y, gens)
+    assert verify_relations(same) == [] and _relations_claim(same).ok
+
+    for label, target in (("X_0", x[0]), ("Y_0", y[0]), (name, gens[name])):
+        target[0][0] = target[0][0] + ring.field.one()
+        # views are built on each read: a changed view never reaches its model
+        assert (model.x_mats, model.y_mats, model.gen_mats) != (x, y, gens)
+        broken = _rebuilt(V, x, y, gens)
+        failures = verify_relations(broken)
+        assert any(label in f for f in failures), (label, failures)
+        claim = _relations_claim(broken)
+        assert not claim.ok and label in claim.detail
+        target[0][0] = target[0][0] - ring.field.one()
+
+    x[0][0][0] = other.one()
+    with pytest.raises(FieldMismatch):
+        _rebuilt(V, x, y, gens)
 
 
 def test_build_module_rejects_unit_ideal():
@@ -274,7 +313,8 @@ def _ref_matrix_of_ring(model, r):
         m = identity(model.field, model.dim)
         for name, e in zip(model.pres.ring.gens, exps):
             if e:
-                base = model.gen_mats[name] if e > 0 else model.gen_inv_mats[name]
+                base = model.gen_mats[name]
+                base = base if e > 0 else inverse(base, model.field)
                 m = mat_mul(m, mat_pow(base, abs(e)))
         out = [[x + c * y for x, y in zip(ro, rm)] for ro, rm in zip(out, m)]
     return out
@@ -307,7 +347,7 @@ def test_z_matrix_matches_mat_pow(theorem):
             if e:
                 base = model.x_mats[i] if e > 0 else model.y_mats[i]
                 ref = mat_mul(ref, mat_pow(base, abs(e)))
-        assert model.z_matrix(alpha) == ref
+        assert element_rows(model.z_rows(alpha), model.field, model.dim) == ref
 
 
 @pytest.mark.parametrize("theorem", THEOREMS)

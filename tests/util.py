@@ -7,6 +7,11 @@ from gwa.field import rationals
 from gwa.ring import Automorphism, BaseRing
 
 
+def identity(spec, n: int) -> list:
+    """The n x n identity matrix of FieldElement."""
+    return [[spec.one() if i == j else spec.zero() for j in range(n)] for i in range(n)]
+
+
 def weyl1(field=None) -> GwaPresentation:
     field = field or rationals()
     R = BaseRing(field, ["t"])
