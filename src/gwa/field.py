@@ -220,7 +220,7 @@ class FieldSpec:
                         lambda a: not a[0])
         else:
             raise InvalidParameters(f"unknown field kind {kind!r}")
-        self._zero, self._one = self.from_fraction(Fraction(0)), self.from_fraction(Fraction(1))
+        self._zero, self._one = self.from_int(0), self.from_int(1)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, FieldSpec)
@@ -257,7 +257,14 @@ class FieldSpec:
         return self._one
 
     def from_int(self, k: int) -> "FieldElement":
-        return self.from_fraction(Fraction(k))
+        """The image of the integer k, built as its canonical payload."""
+        if self.kind == Q_KIND:
+            return FieldElement(self, (k, 1))
+        if self.kind == FP_KIND:
+            return FieldElement(self, k % self.p)
+        if self.kind == CYC_KIND:
+            return FieldElement(self, ((k,) + (0,) * (self._degree - 1), 1))
+        return FieldElement(self, ((k,) if k else (), (1,)))
 
     def from_fraction(self, f: Fraction) -> "FieldElement":
         if self.kind == Q_KIND:

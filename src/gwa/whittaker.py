@@ -492,13 +492,21 @@ class TruncatedIdealCheck:
     witness: GwaElement | None = None
 
 
-def _truncated_left_span(pres, gens, index, degree, slack):
+def _truncated_left_span(pres, gens, index, degree, slack, kernel_dim):
     """Row space of the degree-<=degree part of sum_j A g_j, inside the index.
 
     Products are collected in the larger space of degree <= degree + slack and
     the degree-<=degree part is read off as an exact subspace intersection:
     with the high-degree coordinates ordered first, the reduced rows whose
-    pivots sit in the low block have no high-degree support."""
+    pivots sit in the low block have no high-degree support.
+
+    kernel_dim is the dimension of the degree-<=degree part of the annihilator
+    (of V, or of w) that the span is compared with.  The callers check first
+    that each g_j lies in that annihilator, so every product b g_j does too (an
+    annihilator is a left ideal) and the span lies inside the kernel.  Once the
+    span has kernel_dim dimensions it is the kernel, and no later product can
+    change it, so the loop stops there; taking b in increasing degree gets
+    there early."""
     field = pres.ring.field
     max_gen = max((g.degree() for g in gens), default=0)
     ambient_degree = degree + slack + max_gen
@@ -512,25 +520,35 @@ def _truncated_left_span(pres, gens, index, degree, slack):
     width = len(ambient)
 
     space = RowSpace(field, width)
-    for b in _basis_elements(pres, algebra_basis(pres, degree + slack)):
+    one = field.one()
+    by_degree = sorted(algebra_basis(pres, degree + slack),
+                       key=lambda key: sum(map(abs, key[0])) + sum(map(abs, key[1])))
+    low_dim = 0
+    for alpha, exps in by_degree:
+        if low_dim >= kernel_dim:
+            break
+        b = pres.monomial(alpha, pres.ring.monomial(exps, one))
         for g in gens:
             prod = gwa_mul(b, g)
             if prod.is_zero():
                 continue
             vec = _element_vector(prod, columns)
-            if vec is not None:
-                space.add(vec)
+            if vec is not None and space.add(vec):
+                low_dim = sum(pivot >= offset for pivot in space._rows)
+                if low_dim >= kernel_dim:
+                    break
 
     out = RowSpace(field, len(index))
-    for pivot in space.pivots:
+    for pivot, row in space._rows.items():
         if pivot >= offset:
-            out.add({j - offset: x for j, x in space.by_pivot[pivot].items()})
+            out.add_payloads({j - offset: x for j, x in row.items()})
     return out
 
 
 def thm43_truncated_check(V: WhittakerModule, degree: int = 4, slack: int = 2) -> TruncatedIdealCheck:
     """Kernel of a -> a.w on normal-form degree <= D equals the truncated span
-    of A Q + sum_i A (X_i - zeta_i)."""
+    of A Q + sum_i A (X_i - zeta_i); each of those generators must first
+    annihilate w."""
     if not V.is_matrix:
         raise UnsupportedRing("the truncated annihilator check needs a matrix model")
     pres = V.pres
@@ -539,10 +557,14 @@ def thm43_truncated_check(V: WhittakerModule, degree: int = 4, slack: int = 2) -
     basis = algebra_basis(pres, degree)
     index = {key: j for j, key in enumerate(basis)}
     elements = _basis_elements(pres, basis)
+    gens = ann_w_generators(V)
+    for g in gens:
+        if not ann_w_member(V, g):
+            return TruncatedIdealCheck(False, degree, -1, -1, g)
     kernel = payload_relations([mul_vec(model.act_rows(a), model.w_row, field.ops)
                                 for a in elements], field)
 
-    span = _truncated_left_span(pres, ann_w_generators(V), index, degree, slack)
+    span = _truncated_left_span(pres, gens, index, degree, slack, len(kernel))
     witness = None
     ok = True
     for vec in kernel:
@@ -593,7 +615,7 @@ def ann_V_check(V: WhittakerModule, candidate_gens, degree: int = 4,
                    for e, c in V.act_residue(a, r).terms.items()} for a in elements]
         kernel = linear_relations(images, field)
 
-    span = _truncated_left_span(pres, candidate_gens, index, degree, slack)
+    span = _truncated_left_span(pres, candidate_gens, index, degree, slack, len(kernel))
     for vec in kernel:
         if not span.contains(vec):
             if not V.is_matrix:

@@ -186,6 +186,21 @@ def test_pickle_round_trip():
         assert y == x and y.spec == spec and (y * y + y).inv() == (x * x + x).inv()
 
 
+@pytest.mark.parametrize("spec", [Q, F5, cyclotomic_field(6), QQ], ids=repr)
+def test_from_int_matches_from_fraction(spec):
+    """from_int builds each kind's payload directly; it must agree with the
+    Fraction route on every integer of [-2p, 2p] (multiples of p included),
+    payload for payload, and give the cached zero and one."""
+    p = F5.p
+    for k in range(-2 * p, 2 * p + 1):
+        x = spec.from_int(k)
+        ref = spec.from_fraction(Fraction(k))
+        assert x == ref and x.payload == ref.payload and hash(x) == hash(ref), k
+        assert x.is_zero() == (k % p == 0 if spec is F5 else k == 0)
+    assert spec.from_int(0).payload == spec.zero().payload
+    assert spec.from_int(1).payload == spec.one().payload
+
+
 def test_pow_negative():
     q = QQ.generator()
     assert q ** -2 * q ** 2 == QQ.one()

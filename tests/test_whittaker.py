@@ -1,11 +1,16 @@
 import itertools
 import random
 import zlib
+from fractions import Fraction
 
 import pytest
 
+from gwa import whittaker
 from gwa.catalog import (
     FamilySpec,
+    TheoremModuleSpec,
+    _ann_V_formula_claim,
+    _chain_claim,
     _relations_claim,
     _standard_claims,
     build_family,
@@ -34,6 +39,8 @@ from gwa.whittaker import (
     MatrixModel,
     WhittakerModule,
     _standard_monomials,
+    _truncated_left_span,
+    algebra_basis,
     ann_V_check,
     ann_w_generators,
     ann_w_member,
@@ -133,6 +140,29 @@ def test_relations_check_names_a_changed_entry(theorem, other):
     x[0][0][0] = other.one()
     with pytest.raises(FieldMismatch):
         _rebuilt(V, x, y, gens)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_broken_relation_is_reported_as_red_claims(k):
+    """Stated matrices that break a relation give an Ann_R(w) that is not
+    phi-stable: the report keeps every claim, with relations, cyclic and
+    annihilator red, instead of raising NotPhiStable."""
+    spec = default_grid("T8.3")[k]
+    V, report = build_theorem_module(spec)
+    model = V.realization
+    gens = model.gen_mats
+    gens["t"][0][0] = gens["t"][0][0] + Q.one()
+    broken = WhittakerModule(V.pres, V.zeta, V.Q, _rebuilt(V, model.x_mats, model.y_mats, gens))
+    with pytest.raises(NotPhiStable) as raised:
+        recover_annihilator(broken)
+    alpha, zeta, n = (spec.params[key] for key in ("alpha", "zeta", "n"))
+    extra = [_chain_claim(broken, alpha, zeta, n),
+             _ann_V_formula_claim(broken, tilde_t(V.pres), alpha, zeta, n)]
+    claims = {c.cid: c for c in _standard_claims(broken, [], n == 1, extra)}
+    assert list(claims) == [c.cid for c in report.claims]
+    assert not claims["relations"].ok
+    for cid in ("cyclic", "annihilator"):
+        assert not claims[cid].ok and str(raised.value) in claims[cid].detail
 
 
 def test_build_module_rejects_unit_ideal():
@@ -515,3 +545,170 @@ def test_cyclic_claim_is_false_when_w_does_not_generate():
     assert not ref_cyclic(V)
     claims = {c.cid: c.ok for c in _standard_claims(V, [], None)}
     assert claims["cyclic"] is False and claims["annihilator"] is True
+
+
+# ---------------------------------------------------------------------------
+# the stopped truncated span against the full span it replaced
+
+
+def ref_truncated_left_span(pres, gens, index, degree, slack):
+    """Reference: the degree-<=degree part of the span of every product b g_j,
+    deg b <= degree + slack, read off with the high-degree columns first."""
+    field = pres.ring.field
+    one = field.one()
+    ambient = algebra_basis(pres, degree + slack + max(g.degree() for g in gens))
+    high = [key for key in ambient if key not in index]
+    columns = {key: pos for pos, key in enumerate(high)}
+    columns.update({key: len(high) + j for key, j in index.items()})
+    space = RowSpace(field, len(ambient))
+    for alpha, exps in algebra_basis(pres, degree + slack):
+        b = pres.monomial(alpha, pres.ring.monomial(exps, one))
+        for g in gens:
+            terms = [((a, e), c) for a, r in gwa_mul(b, g).terms.items() for e, c in r.terms.items()]
+            if all(key in columns for key, _ in terms):
+                space.add({columns[key]: c for key, c in terms})
+    out = RowSpace(field, len(index))
+    for row in space.rows:
+        pivot = next(j for j, x in enumerate(row) if not x.is_zero())
+        if pivot >= len(high):
+            out.add(row[len(high):])
+    return out
+
+
+def _ref_basis(pres, degree):
+    index = {key: j for j, key in enumerate(algebra_basis(pres, degree))}
+    one = pres.ring.field.one()
+    elements = [pres.monomial(alpha, pres.ring.monomial(exps, one)) for alpha, exps in index]
+    return index, elements
+
+
+def ref_kernel(V, elements):
+    """The relations among the elements that act as zero on the matrix model,
+    from its FieldElement action matrices."""
+    model = V.realization
+    return linear_relations([{(i, j): x for i, row in enumerate(model.act_matrix(a))
+                              for j, x in enumerate(row) if not x.is_zero()}
+                             for a in elements], model.field)
+
+
+def ref_ann_V_check(V, gens, degree=4, slack=2):
+    """Reference for the matrix branch of ann_V_check: (ok, kernel_dim,
+    span_dim, witness) from the full span."""
+    pres = V.pres
+    index, elements = _ref_basis(pres, degree)
+    kernel = ref_kernel(V, elements)
+    span = ref_truncated_left_span(pres, gens, index, degree, slack)
+    for vec in kernel:
+        if not span.contains(vec):
+            return False, len(kernel), span.dim, linear_combination(vec, elements, pres.zero())
+    return True, len(kernel), span.dim, None
+
+
+def _t83_formula(V, params):
+    """The generators tilde^{n-j} prod_{k<j} (X - alpha^k zeta) of Ann_A(V) in Theorem 8.3."""
+    pres = V.pres
+    alpha, zeta, n = params["alpha"], params["zeta"], params["n"]
+    tilde = tilde_t(pres)
+    gens = []
+    for j in range(n + 1):
+        prod = pres.one()
+        for k in range(j):
+            prod = gwa_mul(prod, pres.X() - pres.scalar(alpha ** k * zeta))
+        gens.append(gwa_mul(pres.embed_ring(tilde ** (n - j)), prod))
+    return gens
+
+
+def _t83_points():
+    """The six T8.3 default points, then a seeded mirror of each with random
+    alpha (not a root of unity), nonzero beta where the default's is, and zeta."""
+    rng = random.Random(zlib.crc32(b"stopped truncated span"))
+    alphas = [Q.from_fraction(Fraction(a)) for a in ("2", "3", "-2", "1/2", "3/2", "-3")]
+    nonzero = [Q.from_fraction(Fraction(a)) for a in ("1", "2", "-1", "1/2", "-1/3")]
+    points = [spec.params for spec in default_grid("T8.3")]
+    mirrors = [dict(p, alpha=rng.choice(alphas), zeta=rng.choice(nonzero),
+                    beta=p["beta"] if p["beta"].is_zero() else rng.choice(nonzero))
+               for p in points]
+    return points + mirrors
+
+
+def _t83_module(params):
+    V, report = build_theorem_module(TheoremModuleSpec("T8.3", Q, params))
+    assert report.all_green
+    return V
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_stopped_span_matches_full_span(k, monkeypatch):
+    params = _t83_points()[k]
+    V = _t83_module(params)
+    pres, n = V.pres, params["n"]
+    gens = _t83_formula(V, params)
+    index, elements = _ref_basis(pres, 4)
+    kernel_dim = len(ref_kernel(V, elements))
+    ref = ref_truncated_left_span(pres, gens, index, 4, 2)
+    products = []
+    monkeypatch.setattr(whittaker, "gwa_mul", lambda a, b: products.append(1) or gwa_mul(a, b))
+    stopped = _truncated_left_span(pres, gens, index, 4, 2, kernel_dim)
+    assert stopped.dim == ref.dim == kernel_dim
+    assert stopped.rows == ref.rows
+    # the kernel is reached with b of degree <= 4, out of the 49 of degree <= 6
+    if k < 6:
+        assert len(products) == 17 * (n + 1)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_dropped_generator_is_red_like_full_span(k):
+    params = _t83_points()[k]
+    V = _t83_module(params)
+    gens = _t83_formula(V, params)
+    for j in range(len(gens)):
+        dropped = gens[:j] + gens[j + 1:]
+        res = ann_V_check(V, dropped)
+        ok, kernel_dim, span_dim, witness = ref_ann_V_check(V, dropped)
+        assert not res.ok and not ok
+        assert (res.kernel_dim, res.span_dim, res.witness) == (kernel_dim, span_dim, witness)
+
+
+def test_changed_scalar_is_red_at_generator_check():
+    params = _t83_points()[5]
+    V = _t83_module(params)
+    pres = V.pres
+    gens = _t83_formula(V, params)
+    # alpha^2 zeta + 1 in place of alpha^2 zeta in the last generator
+    alpha, zeta = params["alpha"], params["zeta"]
+    changed = pres.one()
+    for s in (zeta, alpha * zeta, alpha ** 2 * zeta + Q.one()):
+        changed = gwa_mul(changed, pres.X() - pres.scalar(s))
+    res = ann_V_check(V, gens[:-1] + [changed])
+    assert not res.ok
+    assert (res.kernel_dim, res.span_dim, res.witness) == (-1, -1, changed)
+
+
+def test_thm43_generator_check_on_a_broken_model():
+    pres = univariate_affine(Q, Q.from_int(2), Q.from_int(0))
+    V = build_module(pres, [pres.ring.gen("t") ** 2], (Q.one(),))
+    model = V.realization
+    x = model.x_mats
+    x[0][0][0] = x[0][0][0] + Q.one()
+    broken = WhittakerModule(pres, V.zeta, V.Q, _rebuilt(V, x, model.y_mats, model.gen_mats))
+    res = thm43_truncated_check(broken, degree=3)
+    assert not res.ok and (res.kernel_dim, res.span_dim) == (-1, -1)
+    assert res.witness == pres.X() - pres.scalar(Q.one())
+    assert thm43_truncated_check(V, degree=3).ok
+
+
+def test_stopped_span_matches_full_span_symbolic_smith():
+    # the symbolic case of test_ann_V_symbolic_smith_char0, whose kernel only
+    # samples residues: each product still annihilates every sampled residue
+    smith = build_family(FamilySpec("smith", Q, {"s": [Q.zero(), Q.from_int(2)]}))
+    ring = smith.ring
+    J = phi_stable_ideal(ring, smith.phis, [ring.gen("c") - ring.scalar(Q.from_int(3))])
+    V = build_module(smith, J, (Q.one(),))
+    gens = [smith.embed_ring(g) for g in J.generators]
+    res = ann_V_check(V, gens, degree=3)
+    assert res.ok and res.kernel_dim == res.span_dim
+    index, _ = _ref_basis(smith, 3)
+    ref = ref_truncated_left_span(smith, gens, index, 3, 2)
+    stopped = _truncated_left_span(smith, gens, index, 3, 2, res.kernel_dim)
+    assert stopped.dim == ref.dim == res.kernel_dim
+    assert stopped.rows == ref.rows
