@@ -26,7 +26,7 @@ from .errors import (
 )
 from .field import FieldElement, FieldSpec, cyclotomic_field, element_order, prime_field, rationals
 from .ideals import phi_stable_closure, phi_stable_ideal
-from .linalg import RowSpace, mul_rows, mul_vec, payload_rows, solve, zeros
+from .linalg import RowSpace, column_rows, mul_rows, mul_vec, payload_rows, zeros
 from .ring import Automorphism, BaseRing, RingElement
 from .whittaker import (
     MatrixModel,
@@ -154,19 +154,18 @@ def solve_telescoping(field: FieldSpec, s_coeffs) -> list:
     if p and d + 2 > p:
         raise TelescopingUnsolvable(
             f"deg s + 1 = {d + 1} does not stay below the characteristic {p}")
-    # unknowns r_1..r_{d+1}; (x+1)^j - x^j = sum_i C(j,i) x^i for i < j
+    # unknowns r_1..r_{d+1}; (x+1)^j - x^j = sum_i C(j,i) x^i for i < j, so
+    # the coefficient of x^i is sum_{j > i} C(j,i) r_j = 2 s_i: upper
+    # triangular, with C(i+1,i) = i + 1 on the diagonal, nonzero as i + 1 < p
     from math import comb
 
-    n_unknown = d + 1
-    rows = [[field.zero()] * n_unknown for _ in range(d + 1)]
-    rhs = [c * field.from_int(2) for c in s_coeffs]
-    for j in range(1, d + 2):
-        for i in range(j):
-            rows[i][j - 1] = rows[i][j - 1] + field.from_int(comb(j, i))
-    sol = solve(rows, rhs, field)
-    if sol is None:
-        raise TelescopingUnsolvable("the telescoping system is singular")
-    return [field.zero()] + sol
+    r = [field.zero()] * (d + 2)
+    for i in range(d, -1, -1):
+        acc = s_coeffs[i] * field.from_int(2)
+        for j in range(i + 2, d + 2):
+            acc = acc - field.from_int(comb(j, i)) * r[j]
+        r[i + 1] = acc / field.from_int(i + 1)
+    return r
 
 
 def eval_poly(coeffs, at: RingElement) -> RingElement:
@@ -454,10 +453,7 @@ def _rq_agreement_claim(V: WhittakerModule) -> Claim:
         return Claim("rq_model", "matches the R/Q construction", False,
                      f"R/Q model dimension {built.dim} != {model.dim}")
     B = built.realization
-    P = [{} for _ in range(model.dim)]
-    for j, rep in enumerate(model.basis_reps):
-        for i, x in B.ring_vector(rep).items():
-            P[i][j] = x
+    P = column_rows([B.ring_vector(rep) for rep in model.basis_reps], model.dim)
     span = RowSpace(field, model.dim)
     for row in P:
         span.add_payloads(row)

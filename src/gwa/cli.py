@@ -37,6 +37,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .field import FieldSpec, format_scalar, prime_field, cyclotomic_field
+from .linalg import element_rows, mul_vec
 from .ideals import (
     classify_univariate,
     ideal_membership_gens,
@@ -270,13 +271,19 @@ def cmd_module(args) -> int:
     if sub == "act":
         elt = parse_element(pres, args.expression)
         if V.is_matrix:
-            payload = {"matrix": matrix_to_json(V.realization.act_matrix(elt)),
-                       "on_w": [format_scalar(x) for x in V.realization.act_vector(elt, V.realization.w)]}
+            model = V.realization
+            rows = model.act_rows(elt)
+            on_w = mul_vec(rows, model.w_row, model.field.ops)
+            payload = {"matrix": matrix_to_json(element_rows(rows, model.field, model.dim)),
+                       "on_w": [format_scalar(x) for x in element_rows([on_w], model.field, model.dim)[0]]}
         else:
             payload = {"on_w": format_ring_element(V.act_residue(elt, pres.ring.one()))}
         _emit(args, payload)
         return EXIT_OK
     if sub == "whittaker-vectors":
+        if not V.is_matrix:
+            raise UnsupportedRing("whittaker-vectors needs a finite-dimensional module "
+                                  "(an annihilator with finite R/Q)")
         eta = _parse_zeta(pres, args.eta) if args.eta else V.zeta
         basis = whittaker_vectors(V, eta)
         payload = {"dimension": len(basis),

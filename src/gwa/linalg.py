@@ -1,19 +1,21 @@
 """Exact linear algebra over a coefficient field.
 
-The kernels run on payload rows: a matrix is a list of sparse rows
+There is one matrix form.  A matrix is a list of sparse payload rows
 {column: payload}, a vector one such row, with zeros dropped.  Payloads are
 canonical per field, so two payload matrices are equal exactly when their row
-dicts are.  `payload_rows` checks the field of a matrix of FieldElement (dense
-lists or sparse dicts) once and sparsifies it; `element_rows` wraps payload
-rows back into dense FieldElement rows.  `mul_rows` is the one product kernel,
-and mat_mul and mat_vec are "check, multiply, wrap" around it.  The one
-elimination engine is RowSpace, an incremental span that keeps its reduced row
-echelon rows as payload rows.  A span's reduced echelon form is unique, so
-rank, kernel_basis, solve and inverse read their answers off the RowSpace of
-the rows.  linear_relations(images, spec) is the kernel primitive: the basis of
-{c : sum_j c_j images[j] = 0} that kernel_basis gives for the matrix whose
-columns are the images, each a dense list or a sparse {coordinate: scalar}
-dict; with no nonzero coordinate it is the identity basis.
+dicts are.  FieldElement matrices appear only at the edges: `payload_rows`
+checks the field of a matrix of FieldElement (dense lists or sparse dicts)
+once and sparsifies it, and `element_rows` wraps payload rows back into dense
+FieldElement rows.  `mul_rows` is the one product kernel (mul_vec is its
+one-column case).  The one elimination engine is RowSpace, an incremental
+span that keeps its reduced row echelon rows as payload rows.  A span's
+reduced echelon form is unique, so payload_kernel, inverse_rows and same_span
+read their answers off the RowSpace of the rows.  payload_relations(images,
+spec) is the relation primitive: the basis of {c : sum_j c_j images[j] = 0},
+the kernel of the matrix whose columns are the images, each a payload row
+keyed by any hashable coordinates; with no nonzero coordinate it is the
+identity basis.  mat_mul, kernel_basis and linear_relations are the
+FieldElement forms: check, compute on payloads, wrap.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ from .field import FieldElement, FieldSpec
 def zeros(spec: FieldSpec, rows: int, cols: int):
     z = spec.zero()
     return [[z for _ in range(cols)] for _ in range(rows)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 # -- payload rows ---------------------------------------------------------------
@@ -61,6 +59,15 @@ def element_rows(rows, spec: FieldSpec, width: int) -> list:
             dense[j] = FieldElement(spec, x)
         out.append(dense)
     return out
+
+
+def column_rows(columns, n: int) -> list:
+    """The payload matrix of n rows whose j-th column is the payload row columns[j]."""
+    rows = [{} for _ in range(n)]
+    for j, column in enumerate(columns):
+        for i, x in column.items():
+            rows[i][j] = x
+    return rows
 
 
 def mul_rows(a, b, ops) -> list:
@@ -97,28 +104,49 @@ def sum_rows(terms, ops, n: int) -> list:
     return [{j: x for j, x in acc.items() if not is_zero(x)} for acc in out]
 
 
+def _span(rows, spec: FieldSpec, width: int) -> RowSpace:
+    space = RowSpace(spec, width)
+    for row in rows:
+        space.add_payloads(row)
+    return space
+
+
+def same_span(a, b, spec: FieldSpec, width: int) -> bool:
+    """Whether two lists of payload rows span the same space."""
+    return _span(a, spec, width)._rows == _span(b, spec, width)._rows
+
+
 def inverse_rows(rows, spec: FieldSpec) -> list | None:
     """The inverse of a square payload matrix, or None when it is singular."""
     n = len(rows)
     one = spec.one().payload
-    space = RowSpace(spec, 2 * n)
-    for i, row in enumerate(rows):
-        space.add_payloads({**row, n + i: one})
+    space = _span(({**row, n + i: one} for i, row in enumerate(rows)), spec, 2 * n)
     if any(p not in space._rows for p in range(n)):
         return None
     return [{j - n: x for j, x in space._rows[p].items() if j >= n} for p in range(n)]
 
 
+def payload_kernel(rows, spec: FieldSpec, width: int) -> list:
+    """The right kernel {v : a v = 0} of a payload matrix of `width` columns,
+    as payload rows: one vector per non-pivot column f of the reduced rows, a
+    one at f, and at each pivot minus that row's entry in column f."""
+    space = _span(rows, spec, width)
+    neg, one = spec.ops[2], spec.one().payload
+    basis = {f: {f: one} for f in range(width) if f not in space._rows}
+    for p, row in space._rows.items():
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = neg(x)
+    return list(basis.values())
+
+
 def payload_relations(images, spec: FieldSpec) -> list:
-    """linear_relations for images given as payload rows."""
+    """The relations {c : sum_j c_j images[j] = 0} among payload rows, as payload rows."""
     rows = {}
     for j, image in enumerate(images):
         for k, x in image.items():
             rows.setdefault(k, {})[j] = x
-    space = RowSpace(spec, len(images))
-    for row in rows.values():
-        space.add_payloads(row)
-    return _free_column_basis(space)
+    return payload_kernel(rows.values(), spec, len(images))
 
 
 # -- FieldElement matrices --------------------------------------------------------
@@ -130,30 +158,19 @@ def mat_mul(a, b):
                         spec, len(b[0]))
 
 
-def mat_vec(a, v):
-    return mat_mul([v], transpose(a))[0] if a else []
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def rank(rows) -> int:
-    if not rows or not rows[0]:
-        return 0
-    return _row_space(rows, rows[0][0].spec, len(rows[0])).dim
-
-
 def kernel_basis(a, spec: FieldSpec):
     """Basis of the right kernel {v : a v = 0}."""
     if not a:
         raise InvalidParameters("kernel of an empty matrix is ambiguous")
-    return _free_column_basis(_row_space(a, spec, len(a[0])))
+    width = len(a[0])
+    return element_rows(payload_kernel(payload_rows(a, spec), spec, width), spec, width)
 
 
 def linear_relations(images, spec: FieldSpec):
-    """Basis of the relations {c : sum_j c_j images[j] = 0}."""
-    return payload_relations([payload_row(image, spec) for image in images], spec)
+    """Basis of the relations {c : sum_j c_j images[j] = 0}, the images given
+    as vectors of scalars, dense or sparse."""
+    return element_rows(payload_relations([payload_row(image, spec) for image in images], spec),
+                        spec, len(images))
 
 
 def linear_combination(coeffs, elements, zero):
@@ -166,66 +183,25 @@ def linear_combination(coeffs, elements, zero):
     return out
 
 
-def solve(a, b, spec: FieldSpec):
-    """One solution x of a x = b, or None when inconsistent."""
-    ncols = len(a[0])
-    space = _row_space([list(ra) + [bv] for ra, bv in zip(a, b)], spec, ncols + 1)
-    if ncols in space.by_pivot:
-        return None
-    zero = spec.zero()
-    x = [zero] * ncols
-    for p, row in space.by_pivot.items():
-        x[p] = row.get(ncols, zero)
-    return x
-
-
-def inverse(a, spec: FieldSpec):
-    inv = inverse_rows(payload_rows(a, spec), spec)
-    return None if inv is None else element_rows(inv, spec, len(a))
-
-
-def _row_space(rows, spec: FieldSpec, width: int) -> RowSpace:
-    space = RowSpace(spec, width)
-    for row in rows:
-        space.add(row)
-    return space
-
-
-def _free_column_basis(space: RowSpace) -> list:
-    """The kernel of the reduced rows, one vector per non-pivot column f: a one
-    at f, and at each pivot minus that row's entry in column f."""
-    zero, one = space.spec.zero(), space.spec.one()
-    basis = {}
-    for f in range(space.width):
-        if f not in space.by_pivot:
-            basis[f] = [zero] * space.width
-            basis[f][f] = one
-    for p, row in space.by_pivot.items():
-        for f, x in row.items():
-            if f != p:
-                basis[f][p] = -x
-    return list(basis.values())
-
-
 class RowSpace:
-    """Incrementally built row space with membership testing.
+    """Incrementally built row space.
 
     The basis is kept in reduced row echelon form, one payload row per pivot
     column, with a one at its pivot and zeros (absent keys) at every other
-    pivot.  Vectors may be given dense, as lists of `width` scalars, or sparse,
-    as {column: scalar} dicts; add_payloads takes a payload row as it is.  `by_pivot` is a
-    read-only view of the same rows with FieldElement entries, built on first
-    read and dropped whenever the space grows.
+    pivot.  add takes a vector of scalars, dense (a list of `width` scalars)
+    or sparse (a {column: scalar} dict), and checks its field; add_payloads
+    takes a payload row as it is.  `rows` is a dense FieldElement copy of the
+    reduced rows, built on each read.
     """
 
     def __init__(self, spec: FieldSpec, width: int):
         self.spec = spec
         self.width = width
         self._rows = {}         # pivot column -> sparse reduced row of payloads
-        self._view = None
 
     def _reduce(self, v: dict) -> dict:
-        """v reduced in place against the basis rows."""
+        """v reduced in place against the basis rows; empty exactly when v
+        lies in the span."""
         # a reduced row is zero at every other pivot, so clearing one pivot
         # never refills another: one pass over the pivots in the support does
         rows, ops = self._rows, self.spec.ops
@@ -255,19 +231,7 @@ class RowSpace:
             if f is not None:
                 _sub_multiple(row, f, v, ops)
         self._rows[pivot] = v
-        self._view = None
         return True
-
-    def contains(self, v) -> bool:
-        return not self._reduce(payload_row(v, self.spec))
-
-    @property
-    def by_pivot(self) -> dict:
-        """pivot column -> sparse reduced row {column: FieldElement}."""
-        if self._view is None:
-            self._view = {p: {j: FieldElement(self.spec, x) for j, x in row.items()}
-                          for p, row in self._rows.items()}
-        return self._view
 
     @property
     def pivots(self) -> list:
@@ -276,21 +240,11 @@ class RowSpace:
     @property
     def rows(self) -> list:
         """The reduced rows as dense lists, in pivot order."""
-        zero = self.spec.zero()
-        out = []
-        for p in self.pivots:
-            row = [zero] * self.width
-            for j, x in self.by_pivot[p].items():
-                row[j] = x
-            out.append(row)
-        return out
+        return element_rows((self._rows[p] for p in self.pivots), self.spec, self.width)
 
     @property
     def dim(self) -> int:
         return len(self._rows)
-
-    def equals(self, other: "RowSpace") -> bool:
-        return self.dim == other.dim and all(other.contains(r) for r in self.by_pivot.values())
 
 
 def _sub_multiple(v: dict, f, row: dict, ops) -> None:

@@ -29,36 +29,37 @@ from .field import FieldElement, format_scalar
 from .ideals import PhiStableIdeal, _certified, _degrevlex_key, _leading, phi_stable_ideal
 from .linalg import (
     RowSpace,
+    column_rows,
     element_rows,
-    inverse,
     inverse_rows,
-    kernel_basis,
     linear_combination,
-    linear_relations,
-    mat_mul,
-    mat_sub,
-    mat_vec,
     mul_rows,
     mul_vec,
+    payload_kernel,
     payload_relations,
     payload_row,
     payload_rows,
+    same_span,
     sum_rows,
-    transpose,
-    zeros,
 )
 from .ring import RingElement, format_ring_element
 
 
-def check_type(pres: GwaPresentation, zeta) -> tuple:
-    zeta = tuple(zeta)
-    if len(zeta) != pres.n:
-        raise InvalidParameters("need one zeta_i per index")
-    for z in zeta:
+def _check_scalars(pres: GwaPresentation, values, name: str) -> tuple:
+    """values as a tuple of one scalar of the coefficient field per index."""
+    values = tuple(values)
+    if len(values) != pres.n:
+        raise InvalidParameters(f"need one {name}_i per index")
+    for z in values:
         if not isinstance(z, FieldElement) or z.spec != pres.ring.field:
-            raise InvalidParameters("zeta entries must be scalars of the coefficient field")
-        if z.is_zero():
-            raise InvalidParameters("Whittaker types have nonzero entries")
+            raise InvalidParameters(f"{name} entries must be scalars of the coefficient field")
+    return values
+
+
+def check_type(pres: GwaPresentation, zeta) -> tuple:
+    zeta = _check_scalars(pres, zeta, "zeta")
+    if any(z.is_zero() for z in zeta):
+        raise InvalidParameters("Whittaker types have nonzero entries")
     return zeta
 
 
@@ -104,8 +105,8 @@ class MatrixModel:
     x_mats, y_mats, gen_mats and w are FieldElement views built from the
     payload form on each read.  The payload methods (ring_rows, ring_vector,
     z_rows, act_rows, action_rows) may return rows the model shares, which
-    callers must not modify; matrix_of_ring, vector_of_ring, act_matrix,
-    act_vector and action_generators return FieldElement copies.
+    callers must not modify; matrix_of_ring and vector_of_ring return
+    FieldElement copies.
 
     The action of a ring monomial G^e = G_1^e_1 ... G_k^e_k is cached twice,
     per exponent tuple: as a matrix, built from the cached G^(e - e_last) by
@@ -232,15 +233,6 @@ class MatrixModel:
 
     def vector_of_ring(self, r: RingElement):
         return self._view([self.ring_vector(r)])[0]
-
-    def act_matrix(self, a: GwaElement):
-        return self._view(self.act_rows(a))
-
-    def act_vector(self, a: GwaElement, v):
-        return self._view([mul_vec(self.act_rows(a), payload_row(v, self.field), self.field.ops)])[0]
-
-    def action_generators(self):
-        return [self._view(m) for m in self.action_rows()]
 
 
 @dataclass
@@ -418,16 +410,26 @@ def _basis_elements(pres, basis) -> list:
 
 
 def _element_vector(a: GwaElement, index) -> dict | None:
-    """The sparse coordinates {column: scalar} of a, or None when a has a
-    term outside the index."""
+    """The payload row {column: payload} of a's coordinates, or None when a
+    has a term outside the index."""
     vec = {}
     for alpha, coeff in a.terms.items():
         for exps, c in coeff.terms.items():
             j = index.get((alpha, exps))
             if j is None:
                 return None
-            vec[j] = c
+            vec[j] = c.payload
     return vec
+
+
+def _combination(vec: dict, elements, zero, field):
+    """linear_combination for a payload row of coefficients."""
+    return linear_combination(element_rows([vec], field, len(elements))[0], elements, zero)
+
+
+def _first_outside(span: RowSpace, vectors) -> dict | None:
+    """The first of the payload rows outside the span, or None."""
+    return next((v for v in vectors if span._reduce(dict(v))), None)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +458,7 @@ def recover_annihilator(V: WhittakerModule) -> PhiStableIdeal:
             # the standard images are independent, so the one relation ends in a one
             (relation,) = payload_relations(images + [image], ring.field)
             leads.append(m)
-            basis.append(linear_combination(relation, standard + [mono], ring.zero()))
+            basis.append(_combination(relation, standard + [mono], ring.zero(), ring.field))
             continue
         standard.append(mono)
         images.append(image)
@@ -533,7 +535,7 @@ def _truncated_left_span(pres, gens, index, degree, slack, kernel_dim):
             if prod.is_zero():
                 continue
             vec = _element_vector(prod, columns)
-            if vec is not None and space.add(vec):
+            if vec is not None and space.add_payloads(vec):
                 low_dim = sum(pivot >= offset for pivot in space._rows)
                 if low_dim >= kernel_dim:
                     break
@@ -565,16 +567,12 @@ def thm43_truncated_check(V: WhittakerModule, degree: int = 4, slack: int = 2) -
                                 for a in elements], field)
 
     span = _truncated_left_span(pres, gens, index, degree, slack, len(kernel))
-    witness = None
-    ok = True
-    for vec in kernel:
-        if not span.contains(vec):
-            ok = False
-            witness = linear_combination(vec, elements, pres.zero())
-            break
+    outside = _first_outside(span, kernel)
+    ok = outside is None
+    witness = None if ok else _combination(outside, elements, pres.zero(), field)
     # the reverse inclusion: spanned elements annihilate w
-    for row in span.rows:
-        elt = linear_combination(row, elements, pres.zero())
+    for p in span.pivots:
+        elt = _combination(span._rows[p], elements, pres.zero(), field)
         if not ann_w_member(V, elt):
             ok = False
             witness = elt
@@ -611,22 +609,22 @@ def ann_V_check(V: WhittakerModule, candidate_gens, degree: int = 4,
             for r in reps:
                 if not V.act_residue(g, r).is_zero():
                     return TruncatedIdealCheck(False, degree, -1, -1, g)
-        images = [{(slot, e): c for slot, r in enumerate(reps)
+        images = [{(slot, e): c.payload for slot, r in enumerate(reps)
                    for e, c in V.act_residue(a, r).terms.items()} for a in elements]
-        kernel = linear_relations(images, field)
+        kernel = payload_relations(images, field)
 
     span = _truncated_left_span(pres, candidate_gens, index, degree, slack, len(kernel))
-    for vec in kernel:
-        if not span.contains(vec):
-            if not V.is_matrix:
-                # the symbolic kernel only sampled finitely many residues, so a
-                # mismatch here cannot be blamed on the candidates
-                raise TruncationTooSmall(
-                    f"an apparent annihilator of degree <= {degree} is outside the "
-                    f"truncated span; enlarge the truncation or sample degree")
-            return TruncatedIdealCheck(False, degree, len(kernel), span.dim,
-                                       linear_combination(vec, elements, pres.zero()))
-    return TruncatedIdealCheck(True, degree, len(kernel), span.dim)
+    outside = _first_outside(span, kernel)
+    if outside is None:
+        return TruncatedIdealCheck(True, degree, len(kernel), span.dim)
+    if not V.is_matrix:
+        # the symbolic kernel only sampled finitely many residues, so a
+        # mismatch here cannot be blamed on the candidates
+        raise TruncationTooSmall(
+            f"an apparent annihilator of degree <= {degree} is outside the "
+            f"truncated span; enlarge the truncation or sample degree")
+    return TruncatedIdealCheck(False, degree, len(kernel), span.dim,
+                               _combination(outside, elements, pres.zero(), field))
 
 
 # ---------------------------------------------------------------------------
@@ -641,43 +639,37 @@ def whittaker_vectors(V: WhittakerModule, eta) -> list:
         raise UnsupportedRing("use whittaker_vectors_symbolic for symbolic modules")
     model = V.realization
     pres = V.pres
-    field = pres.ring.field
-    eta = tuple(eta)
-    if len(eta) != pres.n:
-        raise InvalidParameters("need one eta_i per index")
-
-    stacked = []
-    for i in range(pres.n):
-        m = mat_sub(model.x_mats[i], _scaled_identity(field, model.dim, eta[i]))
-        stacked.extend(m)
-    direct = kernel_basis(stacked, field) if stacked else []
+    field, d = model.field, model.dim
+    eta = _check_scalars(pres, eta, "eta")
+    direct = payload_kernel([row for i in range(pres.n)
+                             for row in _minus_scalar(model, model.x_rows[i], eta[i].payload)],
+                            field, d)
 
     # Second route: r w is a Whittaker vector of type eta iff r + Q is a
     # phi_i-eigenvector with eigenvalue zeta_i^{-1} eta_i.  The matrix of the
     # induced phi_i in the basis {rep_j + Q} is U^{-1} [phi_i(rep_j) . w],
     # where U = [rep_j . w] identifies R/Q with the module.
-    U = transpose([model.vector_of_ring(rep) for rep in model.basis_reps])
-    U_inv = inverse(U, field)
+    U = column_rows([model.ring_vector(rep) for rep in model.basis_reps], d)
+    U_inv = inverse_rows(U, field)
     if U_inv is None:
         raise InternalConsistencyError("basis representatives do not span R/Q")
-    stacked2 = []
+    stacked = []
     for i in range(pres.n):
         phi = pres.phis[i]
-        images = transpose([model.vector_of_ring(phi.apply(rep)) for rep in model.basis_reps])
-        phibar = mat_mul(U_inv, images)
-        lam = V.zeta[i].inv() * eta[i]
-        stacked2.extend(mat_sub(phibar, _scaled_identity(field, model.dim, lam)))
-    induced = [mat_vec(U, x) for x in kernel_basis(stacked2, field)] if stacked2 else []
+        images = column_rows([model.ring_vector(phi.apply(rep)) for rep in model.basis_reps], d)
+        phibar = mul_rows(U_inv, images, field.ops)
+        stacked.extend(_minus_scalar(model, phibar, (V.zeta[i].inv() * eta[i]).payload))
+    induced = [mul_vec(U, x, field.ops) for x in payload_kernel(stacked, field, d)]
 
-    a = RowSpace(field, model.dim)
-    for v in direct:
-        a.add(v)
-    b = RowSpace(field, model.dim)
-    for v in induced:
-        b.add(v)
-    if not a.equals(b):
+    if not same_span(direct, induced, field, d):
         raise InternalConsistencyError("the two Whittaker-vector routes disagree")
-    return direct
+    return element_rows(direct, field, d)
+
+
+def _minus_scalar(model: MatrixModel, m, c) -> list:
+    """The payload rows of m - c I, for a payload scalar c."""
+    ops = model.field.ops
+    return sum_rows([(model.field.one().payload, m), (ops[2](c), model._identity)], ops, model.dim)
 
 
 def whittaker_vectors_symbolic(V: WhittakerModule, eta, degree: int) -> list:
@@ -685,23 +677,14 @@ def whittaker_vectors_symbolic(V: WhittakerModule, eta, degree: int) -> list:
     eigenvalue condition phi_i(r) = zeta_i^{-1} eta_i r mod Q."""
     pres = V.pres
     ring = pres.ring
-    eta = tuple(eta)
-    if len(eta) != pres.n:
-        raise InvalidParameters("need one eta_i per index")
+    eta = _check_scalars(pres, eta, "eta")
     lams = [z.inv() * e for z, e in zip(V.zeta, eta)]
     monos = [ring.monomial(m, ring.field.one()) for m in ring_monomials(ring, degree)]
-    images = [{(i, e): c for i, lam in enumerate(lams)
+    images = [{(i, e): c.payload for i, lam in enumerate(lams)
                for e, c in V.Q.reduce(pres.phis[i].apply(r) - r * lam).terms.items()}
               for r in monos]
-    return [linear_combination(combo, monos, ring.zero())
-            for combo in linear_relations(images, ring.field)]
-
-
-def _scaled_identity(field, n, c):
-    m = zeros(field, n, n)
-    for i in range(n):
-        m[i][i] = c
-    return m
+    return [_combination(combo, monos, ring.zero(), ring.field)
+            for combo in payload_relations(images, ring.field)]
 
 
 # ---------------------------------------------------------------------------
@@ -716,6 +699,11 @@ class SimplicityVerdict:
 
     def __bool__(self):
         return self.kind == "simple"
+
+
+def _flattened(m, d: int) -> dict:
+    """The d x d payload matrix m as one row-major payload row of d * d entries."""
+    return {i * d + j: x for i, row in enumerate(m) for j, x in row.items()}
 
 
 def is_simple(V: WhittakerModule, seed: int = 0, random_trials: int = 20) -> SimplicityVerdict:
@@ -742,28 +730,28 @@ def is_simple(V: WhittakerModule, seed: int = 0, random_trials: int = 20) -> Sim
             if algebra.dim == d * d:
                 break
             prod = mul_rows(m, g, ops)
-            if algebra.add_payloads({i * d + j: x for i, row in enumerate(prod) for j, x in row.items()}):
+            if algebra.add_payloads(_flattened(prod, d)):
                 new.append(prod)
         frontier = new
     if algebra.dim == d * d:
         return SimplicityVerdict("simple", "burnside")
 
+    # eigenvector candidates: the kernels of g - mu I, mu on g's diagonal
     candidates = []
-    for g in model.action_generators():
+    zero = field.zero().payload
+    for g in gens:
         # first-occurrence order: a set's order follows hashes that differ
         # between processes, and would make the reported submodule vary
-        for mu in dict.fromkeys(g[i][i] for i in range(d)):
-            shifted = mat_sub(g, _scaled_identity(field, d, mu))
-            candidates.extend(kernel_basis(shifted, field))
+        for mu in dict.fromkeys(g[i].get(i, zero) for i in range(d)):
+            candidates.extend(payload_kernel(_minus_scalar(model, g, mu), field, d))
     import random as _random
 
     rng = _random.Random(seed)
     pool = field.sample_pool()
     for _ in range(random_trials):
-        candidates.append([rng.choice(pool) for _ in range(d)])
+        candidates.append(payload_row([rng.choice(pool) for _ in range(d)], field))
 
     for v in candidates:
-        v = payload_row(v, field)
         if not v:
             continue
         space = RowSpace(field, d)
@@ -801,33 +789,32 @@ def endo_ring(V: WhittakerModule) -> EndoReport:
     pres = V.pres
     field = model.field
     d = model.dim
-
-    gens = model.action_generators()
+    add, _, neg, _, is_zero = ops = field.ops
+    # the linear map M -> g M - M g on row-major flattened M, one row per entry (a, b)
     rows = []
-    for g in gens:
-        # linear map M -> g M - M g, flattened
+    for g in model.action_rows():
+        g_columns = column_rows(g, d)
         for a in range(d):
             for b in range(d):
-                row = [field.zero()] * (d * d)
-                for k in range(d):
-                    row[k * d + b] = row[k * d + b] + g[a][k]
-                for k in range(d):
-                    row[a * d + k] = row[a * d + k] - g[k][b]
-                rows.append(row)
-    commutant_flat = kernel_basis(rows, field)
-    commutant = [[vec[i * d:(i + 1) * d] for i in range(d)] for vec in commutant_flat]
+                row = {k * d + b: x for k, x in g[a].items()}
+                for k, x in g_columns[b].items():
+                    j = a * d + k
+                    row[j] = neg(x) if j not in row else add(row[j], neg(x))
+                rows.append({j: x for j, x in row.items() if not is_zero(x)})
+    commutant = payload_kernel(rows, field, d * d)
 
-    images = [[x for phi in pres.phis for x in model.vector_of_ring(r - phi.apply(r))]
+    # pi(s) for s = sum_j c_j rep_j is sum_j c_j pi(rep_j)
+    images = [{(p, i): x for p, phi in enumerate(pres.phis)
+               for i, x in model.ring_vector(r - phi.apply(r)).items()}
               for r in model.basis_reps]
-    s_space = RowSpace(field, d * d)
-    for combo in linear_relations(images, field):
-        s = linear_combination(combo, model.basis_reps, pres.ring.zero())
-        s_space.add([x for row in model.matrix_of_ring(s) for x in row])
+    s_rows = []
+    for combo in payload_relations(images, field):
+        m = sum_rows([(c, model.ring_rows(model.basis_reps[j])) for j, c in combo.items()], ops, d)
+        s_rows.append(_flattened(m, d))
 
-    comm_space = RowSpace(field, d * d)
-    for vec in commutant_flat:
-        comm_space.add(vec)
-    return EndoReport(len(commutant_flat), commutant, comm_space.equals(s_space))
+    flat = element_rows(commutant, field, d * d)
+    return EndoReport(len(commutant), [[vec[i * d:(i + 1) * d] for i in range(d)] for vec in flat],
+                      same_span(commutant, s_rows, field, d * d))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from gwa.core import center_generators, format_element, gwa_mul, is_central, ykx
 from gwa.errors import NotAWhittakerPair
 from gwa.field import cyclotomic_field, prime_field, rational_functions, rationals
 from gwa.ideals import _all_monic, classify_univariate, ideal_equal_gens, is_phi_stable, phi_stable_ideal
-from gwa.linalg import rank
 from gwa.parser import parse_element
 from gwa.whittaker import (
     build_module,
@@ -40,6 +39,7 @@ from gwa.whittaker import (
     whittaker_vectors,
 )
 
+from dense import rank
 from oracle import oracle_mul
 from util import random_gwa_element, random_ring_element
 

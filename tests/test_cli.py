@@ -199,6 +199,17 @@ def test_module_act_laurent_residue(config, capsys):
         assert json.loads(out)["on_w"] == residue, text
 
 
+def test_whittaker_vectors_needs_a_finite_module_exit4(config, capsys):
+    # the universal Weyl module, and quantum Smith over (c - 2) with K free:
+    # both have infinite R/Q
+    for data, annihilator in ((WEYL1, []), (QSMITH6, ["--annihilator", "c-2"])):
+        code, out, err = run(capsys, "--config", config(data), "module", "--zeta", "1",
+                             *annihilator, "whittaker-vectors")
+        assert code == 4 and out == ""
+        assert err == ("unsupported ring: whittaker-vectors needs a finite-dimensional module "
+                       "(an annihilator with finite R/Q)\n")
+
+
 def test_closed_stdout_exits_quietly(config):
     # the reader's end of the pipe is closed before the command writes anything
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

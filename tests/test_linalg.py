@@ -1,11 +1,11 @@
-"""The sparse linear algebra against dense references with the same contract.
+"""The payload-row linear algebra against the dense references of `dense`.
 
 `DenseRowSpace` is plain dense Gauss-Jordan elimination over full-width rows,
-and `rref` with its callers `rank`, `kernel_basis`, `solve` and `inverse` is the
-dense elimination the library used before everything went through RowSpace.
+and `rref` with its callers `rank`, `kernel_basis` and `inverse` is the dense
+elimination the library used before everything went through RowSpace.
 Reduced row echelon form is unique for a given span, so the library and the
 references must agree on every return value, whatever order the vectors come in.
-`mat_mul` and `mat_vec` here are the FieldElement-level products the library
+`mat_mul` and `mat_vec` there are the FieldElement-level products the library
 used before its kernels ran on raw payloads.
 """
 
@@ -18,10 +18,12 @@ import pytest
 import gwa.linalg as linalg
 import gwa.whittaker
 from gwa.errors import FieldMismatch, InvalidParameters
-from gwa.field import FieldElement, FieldSpec, cyclotomic_field, prime_field, rational_functions, rationals
-from gwa.linalg import RowSpace, transpose
+from gwa.field import FieldElement, cyclotomic_field, prime_field, rational_functions, rationals
+from gwa.linalg import RowSpace, payload_row, payload_rows
 from gwa.whittaker import build_module, endo_ring, is_simple
 
+import dense
+from dense import DenseRowSpace, transpose
 from util import identity, random_ring_element, univariate_affine
 
 FIELDS = [rationals(), prime_field(5), cyclotomic_field(6)]
@@ -30,59 +32,9 @@ FIELDS = [rationals(), prime_field(5), cyclotomic_field(6)]
 ALL_FIELDS = FIELDS + [rational_functions("q")]
 
 
-class DenseRowSpace:
-    """Reference: incrementally built row space, dense rows in rref."""
-
-    def __init__(self, spec, width):
-        self.spec = spec
-        self.width = width
-        self.rows = []
-        self.pivots = []
-
-    def _reduce(self, v):
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if not v[p].is_zero():
-                f = v[p]
-                for j in range(self.width):
-                    v[j] = v[j] - f * row[j]
-        return v
-
-    def add(self, v) -> bool:
-        v = self._reduce(v)
-        pivot = next((j for j in range(self.width) if not v[j].is_zero()), None)
-        if pivot is None:
-            return False
-        inv = v[pivot].inv()
-        v = [x * inv for x in v]
-        for row in self.rows:
-            if not row[pivot].is_zero():
-                f = row[pivot]
-                for j in range(self.width):
-                    row[j] = row[j] - f * v[j]
-        self.rows.append(v)
-        self.pivots.append(pivot)
-        order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
-        return True
-
-    def add_payloads(self, v) -> bool:
-        """add for a payload row {column: payload}, RowSpace's unchecked entry."""
-        row = [self.spec.zero()] * self.width
-        for j, x in dict(v).items():
-            row[j] = FieldElement(self.spec, x)
-        return self.add(row)
-
-    def contains(self, v) -> bool:
-        return all(x.is_zero() for x in self._reduce(v))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def equals(self, other) -> bool:
-        return self.dim == other.dim and all(other.contains(r) for r in self.rows)
+def contains(space, v) -> bool:
+    """Membership in a RowSpace: v reduces to zero against its rows."""
+    return not space._reduce(payload_row(v, space.spec))
 
 
 def random_vector(rng, spec, width):
@@ -151,10 +103,10 @@ def test_rowspace_matches_dense_reference(spec):
             assert_same(space, ref)
         probes = vector_stream(rng, spec, width, 6) + [combination(rng, spec, vectors)]
         for v in probes:
-            assert space.contains(v) == ref.contains(v)
-            assert space.contains(sparse(v)) == ref.contains(v)
+            assert contains(space, v) == ref.contains(v)
+            assert contains(space, sparse(v)) == ref.contains(v)
         for row in ref.rows:
-            assert space.contains(row)
+            assert contains(space, row)
 
 
 @pytest.mark.parametrize("spec", ALL_FIELDS, ids=str)
@@ -176,40 +128,49 @@ def test_rowspace_equals_matches_reference(spec):
         for v in shuffled:
             b.add(sparse(v))
             ref_b.add(v)
-        assert a.equals(b) == ref_a.equals(ref_b) == b.equals(a)
+        # a span's reduced rows are unique, so equal spans have equal rows
+        same = ref_a.equals(ref_b)
+        assert (a.rows == b.rows) == same
+        assert linalg.same_span(payload_rows(vectors, spec), payload_rows(shuffled, spec),
+                                spec, width) == same
+        assert linalg.same_span(payload_rows(shuffled, spec), payload_rows(vectors, spec),
+                                spec, width) == same
         if trial % 2 == 0:
-            assert a.equals(b)
+            assert same
             assert_same(a, b)
 
 
 @pytest.mark.parametrize("spec", ALL_FIELDS, ids=str)
 def test_rowspace_views_follow_every_insert(spec):
-    """by_pivot and rows read between inserts always show the current rows, so
-    a view kept from before a growing insert would fail here."""
+    """rows read between inserts always shows the current rows, so a view kept
+    from before a growing insert would fail here."""
     rng = random.Random(zlib.crc32(f"views {spec!r}".encode()))
     for trial in range(6):
         width = rng.randint(1, 12)
         space, ref = RowSpace(spec, width), DenseRowSpace(spec, width)
         for v in vector_stream(rng, spec, width, rng.randint(2, 10)):
-            assert space.by_pivot == {p: sparse(row) for p, row in zip(ref.pivots, ref.rows)}
             assert space.rows == ref.rows
             assert space.add(sparse(v)) == ref.add(v)
             assert all(isinstance(x, FieldElement) and x.spec == spec
-                       for row in space.by_pivot.values() for x in row.values())
-            assert space.by_pivot == {p: sparse(row) for p, row in zip(ref.pivots, ref.rows)}
+                       for row in space.rows for x in row)
             assert space.rows == ref.rows and space.pivots == ref.pivots
 
 
 def test_kernels_reject_mixed_fields():
+    """Every edge that takes FieldElement checks the field of each entry."""
     Q, F5 = rationals(), prime_field(5)
     with pytest.raises(FieldMismatch):
         RowSpace(Q, 2).add([Q.one(), F5.one()])
     with pytest.raises(FieldMismatch):
-        RowSpace(Q, 2).contains({1: F5.one()})
+        RowSpace(Q, 2).add({1: F5.one()})
     with pytest.raises(FieldMismatch):
         linalg.mat_mul([[Q.one()]], [[F5.one()]])
     with pytest.raises(FieldMismatch):
-        linalg.mat_vec([[Q.one(), Q.one()]], [Q.one(), F5.from_int(2)])
+        payload_rows([[Q.one(), Q.one()], [Q.one(), F5.from_int(2)]], Q)
+    with pytest.raises(FieldMismatch):
+        linalg.kernel_basis([[Q.one(), F5.one()]], Q)
+    with pytest.raises(FieldMismatch):
+        linalg.linear_relations([{(0, 1): Q.one()}, {(0, 1): F5.one()}], Q)
 
 
 def test_rowspace_zero_and_empty():
@@ -218,8 +179,10 @@ def test_rowspace_zero_and_empty():
     assert space.dim == 0 and space.rows == [] and space.pivots == []
     assert space.add([spec.zero()] * 5) is False
     assert space.add({}) is False
-    assert space.contains([spec.zero()] * 5)
-    assert space.equals(RowSpace(spec, 5))
+    assert contains(space, [spec.zero()] * 5)
+    assert space.rows == RowSpace(spec, 5).rows
+    assert linalg.same_span([], [{}], spec, 5)
+    assert not linalg.same_span([], [{2: spec.one().payload}], spec, 5)
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
@@ -239,7 +202,7 @@ def test_low_block_rows_have_no_high_support(spec):
         space = RowSpace(spec, width)
         for v in vectors:
             space.add(v)
-        low_rows = [space.by_pivot[p] for p in space.pivots if p >= offset]
+        low_rows = [space._rows[p] for p in space.pivots if p >= offset]
         assert all(min(row) >= offset for row in low_rows)
         for row in space.rows:
             pivot = next(j for j, x in enumerate(row) if not x.is_zero())
@@ -267,46 +230,11 @@ def test_module_verdicts_match_reference(monkeypatch):
         assert sparse_run == dense_run
 
 
-# -- the FieldElement-level references for mat_mul and mat_vec ---------------
-
-
-def ref_mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    zero = a[0][0].spec.zero()
-    out = []
-    for i in range(n):
-        row_a = a[i]
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                x = row_a[t]
-                if x.is_zero():
-                    continue
-                term = x * b[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else zero)
-        out.append(row)
-    return out
-
-
-def ref_mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = None
-        for x, y in zip(row, v):
-            if x.is_zero() or y.is_zero():
-                continue
-            term = x * y
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else v[0].spec.zero())
-    return out
-
-
 @pytest.mark.parametrize("spec", ALL_FIELDS, ids=str)
 def test_products_match_element_reference(spec):
-    """mat_mul and mat_vec give the reference's entries, every one a canonical
-    element of spec, on every case shape, with zero rows and zero factors."""
+    """mat_mul gives the reference's entries, every one a canonical element of
+    spec, on every case shape, with zero rows and zero factors; mul_vec does on
+    the square cases, and column_rows undoes a transpose."""
     for name, a in matrix_cases(spec):
         rng = random.Random(zlib.crc32(("products " + name).encode()))
         k = len(a[0])
@@ -317,13 +245,15 @@ def test_products_match_element_reference(spec):
                 b = random_matrix(rng, spec, k, m)
                 for right in (b, zero_b):
                     got = linalg.mat_mul(left, right)
-                    assert got == ref_mat_mul(left, right), name
+                    assert got == dense.mat_mul(left, right), name
                     assert all(isinstance(x, FieldElement) and x.spec == spec
                                for row in got for x in row)
-            for v in (random_matrix(rng, spec, 1, k)[0], [spec.zero()] * k, [spec.one()] * k):
-                got = linalg.mat_vec(left, v)
-                assert got == ref_mat_vec(left, v), name
-                assert all(isinstance(x, FieldElement) and x.spec == spec for x in got)
+        assert linalg.column_rows(payload_rows(transpose(a), spec), len(a)) == payload_rows(a, spec)
+        if len(a) != k:
+            continue
+        for v in (random_matrix(rng, spec, 1, k)[0], [spec.zero()] * k, [spec.one()] * k):
+            got = linalg.mul_vec(payload_rows(a, spec), payload_row(v, spec), spec.ops)
+            assert got == payload_row(dense.mat_vec(a, v), spec), name
 
 
 def _stacked(a, b, b2):
@@ -335,7 +265,7 @@ def _stacked(a, b, b2):
 @pytest.mark.parametrize("spec", ALL_FIELDS, ids=str)
 def test_payload_kernel_matches_element_reference(spec):
     """mul_rows, its row-dict equality and MatrixModel.matrix_of_ring against
-    ref_mat_mul, on sparse matrices and on products that cancel, partly or to zero."""
+    the dense mat_mul, on sparse matrices and on products that cancel, partly or to zero."""
     rng = random.Random(zlib.crc32(("payload kernel " + repr(spec)).encode()))
     ops = spec.ops
     for trial in range(12):
@@ -345,7 +275,7 @@ def test_payload_kernel_matches_element_reference(spec):
         changed[rng.randrange(k)][rng.randrange(m)] = rng.choice(spec.sample_pool())
         products = []
         for left, right in [(a, b), _stacked(a, b, b), _stacked(a, b, changed)]:
-            ref = ref_mat_mul(left, right)
+            ref = dense.mat_mul(left, right)
             got = linalg.mul_rows(linalg.payload_rows(left, spec), linalg.payload_rows(right, spec), ops)
             assert got == linalg.payload_rows(ref, spec)
             assert linalg.element_rows(got, spec, m) == ref
@@ -361,7 +291,7 @@ def test_payload_kernel_matches_element_reference(spec):
         pres, (spec.one(),), {"t": t}, [t], [t], [spec.one()] * d, [pres.ring.one()] * d)
     powers = [identity(spec, d)]
     for _ in range(4):
-        powers.append(ref_mat_mul(powers[-1], t))
+        powers.append(dense.mat_mul(powers[-1], t))
     for trial in range(8):
         r = random_ring_element(rng, pres.ring, max_degree=4, n_terms=4)
         if trial == 0:
@@ -373,82 +303,7 @@ def test_payload_kernel_matches_element_reference(spec):
         assert model.ring_rows(r) == linalg.payload_rows(ref, spec)
 
 
-# -- the dense reference for rank, kernel_basis, solve and inverse ------------
-
-
-def rref(rows):
-    """Reduced row echelon form; returns (new_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r] + [row for row in rows[r:] if any(not x.is_zero() for x in row)], pivots
-
-
-def rank(rows) -> int:
-    reduced, pivots = rref(rows)
-    return len(pivots)
-
-
-def kernel_basis(a, spec: FieldSpec):
-    """Basis of the right kernel {v : a v = 0}."""
-    if not a:
-        raise InvalidParameters("kernel of an empty matrix is ambiguous")
-    ncols = len(a[0])
-    reduced, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    zero, one = spec.zero(), spec.one()
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(v)
-    return basis
-
-
-def solve(a, b, spec: FieldSpec):
-    """One solution x of a x = b, or None when inconsistent."""
-    rows = [list(ra) + [bv] for ra, bv in zip(a, b)]
-    ncols = len(a[0])
-    reduced, pivots = rref(rows)
-    for row in reduced:
-        if all(x.is_zero() for x in row[:-1]) and not row[-1].is_zero():
-            return None
-    zero = spec.zero()
-    x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = reduced[r][-1]
-    return x
-
-
-def inverse(a, spec: FieldSpec):
-    n = len(a)
-    aug = [list(row) + list(idr) for row, idr in zip(a, identity(spec, n))]
-    reduced, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in reduced[:n]]
+# -- kernels and inverses against the dense references ------------------------
 
 
 def random_matrix(rng, spec, rows, cols, rank_at_most=None):
@@ -491,30 +346,21 @@ def matrix_cases(spec):
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_kernel_and_rank_match_dense_reference(spec):
+    """kernel_basis and payload_kernel give the reference kernel, and a
+    RowSpace of the rows has the reference rank."""
     for name, a in matrix_cases(spec):
-        assert linalg.kernel_basis(a, spec) == kernel_basis(a, spec), name
-        assert linalg.rank(a) == rank(a), name
+        width = len(a[0])
+        assert linalg.kernel_basis(a, spec) == dense.kernel_basis(a, spec), name
+        kernel = linalg.payload_kernel(payload_rows(a, spec), spec, width)
+        assert kernel == payload_rows(dense.kernel_basis(a, spec), spec), name
+        space = RowSpace(spec, width)
+        for row in a:
+            space.add(row)
+        assert space.dim == dense.rank(a), name
     with pytest.raises(InvalidParameters):
         linalg.kernel_basis([], spec)
-    assert linalg.rank([]) == rank([]) == 0
-
-
-@pytest.mark.parametrize("spec", FIELDS, ids=str)
-def test_solve_matches_dense_reference(spec):
-    outcomes = set()
-    for name, a in matrix_cases(spec):
-        rng = random.Random(zlib.crc32(("solve " + name).encode()))
-        pool = spec.sample_pool()
-        x0 = [rng.choice(pool) for _ in a[0]]
-        consistent = linalg.mat_vec(a, x0)
-        arbitrary = [rng.choice(pool) for _ in a]
-        for b in (consistent, arbitrary):
-            x = linalg.solve(a, b, spec)
-            assert x == solve(a, b, spec), name
-            outcomes.add(x is None)
-            if x is not None:
-                assert linalg.mat_vec(a, x) == b
-    assert outcomes == {True, False}
+    assert linalg.payload_kernel([], spec, 3) == payload_rows(identity(spec, 3), spec)
+    assert linalg.payload_kernel([], spec, 0) == []
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
@@ -522,11 +368,13 @@ def test_inverse_matches_dense_reference(spec):
     outcomes = set()
     for name, a in matrix_cases(spec):
         if len(a) == len(a[0]):
-            inv = linalg.inverse(a, spec)
-            assert inv == inverse(a, spec), name
+            inv = linalg.inverse_rows(payload_rows(a, spec), spec)
+            ref = dense.inverse(a, spec)
+            assert inv == (None if ref is None else payload_rows(ref, spec)), name
             outcomes.add(inv is None)
             if inv is not None:
-                assert linalg.mat_mul(a, inv) == identity(spec, len(a))
+                assert linalg.mul_rows(payload_rows(a, spec), inv, spec.ops) == \
+                    payload_rows(identity(spec, len(a)), spec)
     assert outcomes == {True, False}
 
 
@@ -535,9 +383,11 @@ def test_linear_relations_match_dense_kernel(spec):
     """linear_relations(images) is the kernel_basis of the matrix whose columns
     are the images, given dense or as sparse dicts with tuple keys."""
     for name, a in matrix_cases(spec):
-        expected = kernel_basis(a, spec)
+        expected = dense.kernel_basis(a, spec)
         images = transpose(a)
         assert linalg.linear_relations(images, spec) == expected, name
+        assert linalg.payload_relations(payload_rows(images, spec), spec) == \
+            payload_rows(expected, spec), name
         rng = random.Random(zlib.crc32(("relations " + name).encode()))
         keys = [("row", i, i * i) for i in range(len(a))]
         sparse_images = []
@@ -552,9 +402,9 @@ def test_linear_relations_match_dense_kernel(spec):
 def test_linear_relations_without_coordinates(spec):
     """All-zero images leave every coefficient free; no images, no relations."""
     zero = [[spec.zero()] * 3 for _ in range(5)]
-    assert linalg.linear_relations(transpose(zero), spec) == kernel_basis(zero, spec)
+    assert linalg.linear_relations(transpose(zero), spec) == dense.kernel_basis(zero, spec)
     assert linalg.linear_relations([{}] * 5, spec) == identity(spec, 5)
     assert linalg.linear_relations([[]] * 5, spec) == identity(spec, 5)
     assert linalg.linear_relations([{(0, 0): spec.zero()}] * 2, spec) == identity(spec, 2)
-    assert linalg.linear_relations([], spec) == kernel_basis([[]], spec) == []
+    assert linalg.linear_relations([], spec) == dense.kernel_basis([[]], spec) == []
 

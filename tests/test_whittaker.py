@@ -19,24 +19,14 @@ from gwa.catalog import (
     tilde_t,
 )
 from gwa.core import gwa_mul
-from gwa.errors import FieldMismatch, InvalidParameters, NotAWhittakerPair, NotPhiStable
-from gwa.field import cyclotomic_field, prime_field, rationals
+from gwa.errors import FieldMismatch, InvalidParameters, NotAWhittakerPair, NotPhiStable, UnsupportedRing
+from gwa.field import cyclotomic_field, prime_field, rational_functions, rationals
 from gwa.ideals import ideal_equal_gens, phi_stable_ideal
-from gwa.linalg import (
-    RowSpace,
-    element_rows,
-    inverse,
-    kernel_basis,
-    linear_combination,
-    linear_relations,
-    mat_mul,
-    mat_vec,
-    rank,
-    zeros,
-)
+from gwa.linalg import RowSpace, element_rows, kernel_basis, linear_combination, linear_relations, zeros
 from gwa.whittaker import (
     EndoReport,
     MatrixModel,
+    SimplicityVerdict,
     WhittakerModule,
     _standard_monomials,
     _truncated_left_span,
@@ -58,6 +48,7 @@ from gwa.whittaker import (
     whittaker_vectors_symbolic,
 )
 
+from dense import dense_span, inverse, mat_mul, mat_sub, mat_vec, rank, scaled_identity, transpose
 from util import identity, random_gwa_element, random_ring_element, univariate_affine, weyl1
 
 Q = rationals()
@@ -237,6 +228,7 @@ def test_whittaker_vectors_routes_agree():
     V = build_module(pres, [t ** 3], zeta)
     # w itself has type zeta
     basis = whittaker_vectors(V, zeta)
+    assert basis == [[Q.one(), Q.zero(), Q.zero()]]
     assert len(basis) == 1
     # v_k = t^k w has type alpha^k zeta
     for k, expected in ((1, Q.from_int(2)), (2, Q.from_int(4))):
@@ -245,6 +237,25 @@ def test_whittaker_vectors_routes_agree():
         vec = basis[0]
         nonzero = [j for j, c in enumerate(vec) if not c.is_zero()]
         assert nonzero == [k]
+
+
+def test_whittaker_vectors_checks_eta():
+    """eta is checked as check_type checks zeta, except that zero entries are
+    allowed: one scalar of the coefficient field per index."""
+    V, _ = build_theorem_module(TheoremModuleSpec(
+        "T8.3", Q, {"alpha": Q.from_int(2), "beta": Q.one(), "n": 3, "zeta": Q.one()}))
+    F5 = prime_field(5)
+    for eta in ([1], [F5.one()], [], [Q.one(), Q.one()]):
+        with pytest.raises(InvalidParameters):
+            whittaker_vectors(V, eta)
+    symbolic = universal_module(V.pres, V.zeta)
+    for eta in ([1], [F5.one()], []):
+        with pytest.raises(InvalidParameters):
+            whittaker_vectors_symbolic(symbolic, eta, degree=2)
+    assert whittaker_vectors(V, [Q.zero()]) == []
+    assert len(whittaker_vectors(V, [Q.one()])) == 1
+    with pytest.raises(UnsupportedRing):
+        whittaker_vectors(symbolic, [Q.one()])
 
 
 def test_whittaker_vectors_universal():
@@ -336,6 +347,10 @@ def mat_pow(a, k: int):
     return out
 
 
+def _act_matrix(model, a):
+    return element_rows(model.act_rows(a), model.field, model.dim)
+
+
 def _ref_matrix_of_ring(model, r):
     """Sum of c * G_1^e_1 ... G_k^e_k, each power by repeated squaring."""
     out = zeros(model.field, model.dim, model.dim)
@@ -388,7 +403,7 @@ def test_action_is_a_homomorphism(theorem):
     for _ in range(6):
         a = random_gwa_element(rng, pres, max_z=2, max_degree=2, n_terms=2)
         b = random_gwa_element(rng, pres, max_z=2, max_degree=2, n_terms=2)
-        assert model.act_matrix(gwa_mul(a, b)) == mat_mul(model.act_matrix(a), model.act_matrix(b))
+        assert _act_matrix(model, gwa_mul(a, b)) == mat_mul(_act_matrix(model, a), _act_matrix(model, b))
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +433,36 @@ def ref_cyclic(V):
     return rank([V.realization.vector_of_ring(m) for m in _ref_monomials(V)]) == V.dim
 
 
+def _ref_action_generators(model):
+    """X_i, Y_i, the ring generators and the inverses of the Laurent ones, as
+    FieldElement matrices, in the order of MatrixModel.action_rows."""
+    gens = model.x_mats + model.y_mats + list(model.gen_mats.values())
+    ring = model.pres.ring
+    return gens + [inverse(model.gen_mats[name], model.field)
+                   for name, l in zip(ring.gens, ring.laurent) if l]
+
+
+def _flat(m):
+    return [x for row in m for x in row]
+
+
+def _span(field, width, vectors) -> RowSpace:
+    """The span of FieldElement vectors, through the checked RowSpace.add."""
+    space = RowSpace(field, width)
+    for v in vectors:
+        space.add(v)
+    return space
+
+
 def ref_endo_ring(V):
-    """Reference: the commutant against pi(S), with S read off every monomial
-    of degree <= dim + max deg Q."""
+    """Reference: the commutant of the FieldElement action matrices against
+    pi(S), with S read off every monomial of degree <= dim + max deg Q."""
     model = V.realization
     pres = V.pres
     field = model.field
     d = model.dim
     rows = []
-    for g in model.action_generators():
+    for g in _ref_action_generators(model):
         for a in range(d):
             for b in range(d):
                 row = [field.zero()] * (d * d)
@@ -442,14 +478,93 @@ def ref_endo_ring(V):
     monos = [pres.ring.monomial(m, field.one()) for m in ring_monomials(pres.ring, degree)]
     images = [[x for phi in pres.phis for x in model.vector_of_ring(r - phi.apply(r))]
               for r in monos]
-    s_space = RowSpace(field, d * d)
-    for combo in linear_relations(images, field):
-        s = linear_combination(combo, monos, pres.ring.zero())
-        s_space.add([x for row in model.matrix_of_ring(s) for x in row])
-    comm_space = RowSpace(field, d * d)
-    for vec in commutant_flat:
-        comm_space.add(vec)
-    return EndoReport(len(commutant_flat), commutant, comm_space.equals(s_space))
+    s_space = _span(field, d * d, [
+        _flat(model.matrix_of_ring(linear_combination(combo, monos, pres.ring.zero())))
+        for combo in kernel_basis(transpose(images), field)])
+    # a span's reduced rows are unique
+    return EndoReport(len(commutant_flat), commutant,
+                      _span(field, d * d, commutant_flat).rows == s_space.rows)
+
+
+def ref_whittaker_vectors(V, eta):
+    """Reference: both routes of whittaker_vectors on FieldElement matrices,
+    which must span the same space; returns the direct basis."""
+    model = V.realization
+    pres = V.pres
+    field = model.field
+    d = model.dim
+    stacked = []
+    for i in range(pres.n):
+        stacked.extend(mat_sub(model.x_mats[i], scaled_identity(field, d, eta[i])))
+    direct = kernel_basis(stacked, field)
+    U = transpose([model.vector_of_ring(rep) for rep in model.basis_reps])
+    U_inv = inverse(U, field)
+    stacked = []
+    for i in range(pres.n):
+        phi = pres.phis[i]
+        images = transpose([model.vector_of_ring(phi.apply(rep)) for rep in model.basis_reps])
+        lam = V.zeta[i].inv() * eta[i]
+        stacked.extend(mat_sub(mat_mul(U_inv, images), scaled_identity(field, d, lam)))
+    induced = [mat_vec(U, x) for x in kernel_basis(stacked, field)]
+    assert dense_span(field, d, direct).equals(dense_span(field, d, induced))
+    return direct
+
+
+def ref_is_simple(V, seed=0, random_trials=20):
+    """Reference: the Burnside closure and the submodule search of is_simple
+    on FieldElement matrices, with the same candidates in the same order: the
+    eigenvectors of each generator, then the seeded random vectors."""
+    model = V.realization
+    field = model.field
+    d = model.dim
+    gens = _ref_action_generators(model)
+    algebra = _span(field, d * d, [_flat(identity(field, d))])
+    frontier = [identity(field, d)]
+    while frontier and algebra.dim < d * d:
+        new = []
+        for m, g in itertools.product(frontier, gens):
+            prod = mat_mul(m, g)
+            if algebra.add(_flat(prod)):
+                new.append(prod)
+        frontier = new
+    if algebra.dim == d * d:
+        return SimplicityVerdict("simple", "burnside")
+    candidates = []
+    for g in gens:
+        for mu in dict.fromkeys(g[i][i] for i in range(d)):
+            candidates.extend(kernel_basis(mat_sub(g, scaled_identity(field, d, mu)), field))
+    rng = random.Random(seed)
+    pool = field.sample_pool()
+    candidates += [[rng.choice(pool) for _ in range(d)] for _ in range(random_trials)]
+    for v in candidates:
+        if all(x.is_zero() for x in v):
+            continue
+        space = _span(field, d, [v])
+        frontier = [v]
+        while frontier:
+            new = []
+            for u, g in itertools.product(frontier, gens):
+                img = mat_vec(g, u)
+                if space.add(img):
+                    new.append(img)
+            frontier = new
+        if 0 < space.dim < d:
+            return SimplicityVerdict("not_simple", None, space.rows)
+    return SimplicityVerdict("inconclusive", "no Burnside certificate; submodule search exhausted")
+
+
+def _assert_verdicts_match_reference(V, rng):
+    """whittaker_vectors and is_simple against their dense references: the
+    same basis for the type zeta, an eigenvalue type and a random one (zero
+    allowed), and the same verdict and submodule rows.  endo_ring is compared
+    by _assert_walk_matches_reference."""
+    model = V.realization
+    pool = model.field.sample_pool()
+    diagonals = [[x[j][j] for j in range(model.dim)] for x in model.x_mats]
+    for eta in (V.zeta, tuple(rng.choice(diag) for diag in diagonals),
+                tuple(rng.choice(pool) for _ in V.zeta)):
+        assert whittaker_vectors(V, eta) == ref_whittaker_vectors(V, eta)
+    assert is_simple(V) == ref_is_simple(V)
 
 
 def _assert_walk_matches_reference(V):
@@ -463,9 +578,11 @@ def _assert_walk_matches_reference(V):
 
 @pytest.mark.parametrize("theorem", THEOREMS)
 def test_annihilator_walk_matches_reference_on_default_grids(theorem):
+    rng = random.Random(zlib.crc32(("verdicts " + theorem).encode()))
     for spec in default_grid(theorem):
         V, _ = build_theorem_module(spec)
         _assert_walk_matches_reference(V)
+        _assert_verdicts_match_reference(V, rng)
 
 
 
@@ -514,6 +631,7 @@ def _seeded_families():
 def test_annihilator_walk_matches_reference_on_seeded_modules(family):
     pres, invariants, squares = _seeded_families()[family]
     rng = random.Random(zlib.crc32(("annihilator walk " + family).encode()))
+    verdict_rng = random.Random(zlib.crc32(("verdicts " + family).encode()))
     pool = pres.ring.field.sample_pool()
     nonzero = [c for c in pool if not c.is_zero()]
     built = 0
@@ -524,7 +642,28 @@ def test_annihilator_walk_matches_reference_on_seeded_modules(family):
             # the unit ideal, or a Laurent generator that is a zero divisor mod Q
             continue
         _assert_walk_matches_reference(V)
+        _assert_verdicts_match_reference(V, verdict_rng)
         built += 1
+
+
+CHAIN_FIELDS = [(F, F.generator() if F.kind == "Q(q)" else F.from_int(2))
+                for F in (rationals(), prime_field(7), rational_functions("q"))]
+
+
+@pytest.mark.parametrize("field, alpha", CHAIN_FIELDS, ids=[repr(F) for F, _ in CHAIN_FIELDS])
+def test_verdicts_match_reference_on_seeded_chain_modules(field, alpha):
+    """R/(tilde^k), tilde = (alpha - 1) t + beta, over the univariate affine
+    family: phi(tilde) = alpha tilde, so tilde R/(tilde^k) is a submodule and
+    for k >= 2 the submodule search runs."""
+    rng = random.Random(zlib.crc32(("chain modules " + repr(field)).encode()))
+    nonzero = [c for c in field.sample_pool() if not c.is_zero()]
+    for _ in range(4):
+        beta = rng.choice(field.sample_pool())
+        pres = univariate_affine(field, alpha, beta)
+        tilde = pres.ring.gen("t") * (alpha - field.one()) + pres.ring.scalar(beta)
+        V = build_module(pres, [tilde ** rng.randint(1, 4)], (rng.choice(nonzero),))
+        _assert_walk_matches_reference(V)
+        _assert_verdicts_match_reference(V, rng)
 
 
 def test_cyclic_claim_is_false_when_w_does_not_generate():
@@ -586,7 +725,7 @@ def ref_kernel(V, elements):
     """The relations among the elements that act as zero on the matrix model,
     from its FieldElement action matrices."""
     model = V.realization
-    return linear_relations([{(i, j): x for i, row in enumerate(model.act_matrix(a))
+    return linear_relations([{(i, j): x for i, row in enumerate(_act_matrix(model, a))
                               for j, x in enumerate(row) if not x.is_zero()}
                              for a in elements], model.field)
 
@@ -598,8 +737,9 @@ def ref_ann_V_check(V, gens, degree=4, slack=2):
     index, elements = _ref_basis(pres, degree)
     kernel = ref_kernel(V, elements)
     span = ref_truncated_left_span(pres, gens, index, degree, slack)
+    dense_ref = dense_span(pres.ring.field, len(index), span.rows)
     for vec in kernel:
-        if not span.contains(vec):
+        if not dense_ref.contains(vec):
             return False, len(kernel), span.dim, linear_combination(vec, elements, pres.zero())
     return True, len(kernel), span.dim, None
 
