@@ -38,7 +38,6 @@ from .ideals import (
     membership,
     phi_stable_closure,
     phi_stable_ideal,
-    radical_univariate,
 )
 from .parser import parse_element, parse_ring_element, parse_scalar
 from .ring import (
@@ -61,7 +60,6 @@ from .whittaker import (
     universal_act,
     universal_module,
     whittaker_vectors,
-    whittaker_vectors_symbolic,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,7 +27,7 @@ from .errors import (
 from .field import FieldElement, FieldSpec, cyclotomic_field, element_order, prime_field, rationals
 from .ideals import phi_stable_closure, phi_stable_ideal
 from .linalg import RowSpace, column_rows, mul_rows, mul_vec, payload_rows, zeros
-from .ring import Automorphism, BaseRing, RingElement
+from .ring import Automorphism, BaseRing, RingElement, format_ring_element
 from .whittaker import (
     MatrixModel,
     WhittakerModule,
@@ -197,16 +197,20 @@ def _smith(spec: FamilySpec) -> GwaPresentation:
     return pres
 
 
+def _telescopes(pres: GwaPresentation) -> bool:
+    """Whether r(0) = 0 and (r(h+1) - r(h))/2 = s(h) for the stored s and r."""
+    R, r = pres.ring, pres.meta["r"]
+    h = R.gen("h")
+    lhs = (eval_poly(r, h + R.one()) - eval_poly(r, h)) * R.field.from_int(2).inv()
+    return r[0].is_zero() and lhs == eval_poly(pres.meta["s"], h)
+
+
 def _verify_smith_facts(pres: GwaPresentation):
     """The telescoping identity and the centrality of the Casimir element."""
-    field = pres.ring.field
-    R = pres.ring
-    h = R.gen("h")
-    s, r = pres.meta["s"], pres.meta["r"]
-    half = field.from_int(2).inv()
-    lhs = (eval_poly(r, h + R.one()) - eval_poly(r, h)) * half
-    if lhs != eval_poly(s, h):
+    if not _telescopes(pres):
         raise InternalConsistencyError("telescoping identity failed")
+    field, R, r = pres.ring.field, pres.ring, pres.meta["r"]
+    h = R.gen("h")
     # c = 2 Y X + r(h+1) inside the algebra, and c is central
     c_elt = pres.embed_ring(R.gen("c"))
     two_yx = gwa_mul(pres.Y(), pres.X()).scale(field.from_int(2))
@@ -874,7 +878,10 @@ def verify_family_facts(spec: FamilySpec, degree: int = 3, bound: int = 6) -> Cl
             claims.append(Claim("one_dim_module", "X w = zeta w, Y w = 0, t w = 0", ok))
 
     if spec.tag == "smith":
-        claims.append(Claim("telescoping", "s(x) = (r(x+1) - r(x))/2 with r(0) = 0", True))
+        ok = _telescopes(pres)
+        r = format_ring_element(eval_poly(pres.meta["r"], pres.ring.gen("h")))
+        claims.append(Claim("telescoping", "s(x) = (r(x+1) - r(x))/2 with r(0) = 0", ok,
+                            "" if ok else f"r(h) = {r}"))
 
     if spec.tag in ("quantum_smith", "uqsl2"):
         q = spec.params["q"]

@@ -297,7 +297,7 @@ def cmd_module(args) -> int:
         _emit(args, payload)
         return EXIT_OK
     if sub == "simple":
-        verdict = is_simple(V, seed=args.seed)
+        verdict = is_simple(V)
         payload = {"verdict": verdict.kind}
         if verdict.certificate:
             payload["certificate"] = verdict.certificate
@@ -399,9 +399,6 @@ def _global_options(parser, suppress: bool):
     parser.add_argument("--degree", type=int, default=d,
                         help="degree bound for classifications and truncations "
                              "(default: $GWA_TRUNCATION, else 4)")
-    parser.add_argument("--seed", type=int,
-                        **({"default": d} if suppress else {"default": 0}),
-                        help="seed for randomized searches")
 
 
 @lru_cache(maxsize=None)

@@ -297,20 +297,6 @@ class FieldSpec:
             return self.gen_name
         return ""
 
-    def sample_pool(self):
-        """Small fixed set of elements used by randomized sweeps."""
-        ints = [self.from_int(k) for k in (-2, -1, 0, 1, 2, 3)]
-        if self.kind == Q_KIND:
-            ints.append(self.from_fraction(Fraction(1, 2)))
-            ints.append(self.from_fraction(Fraction(-2, 3)))
-        elif self.kind == CYC_KIND:
-            z = self.generator()
-            ints += [z, z + self.one(), z * z - self.one()]
-        elif self.kind == QQ_KIND:
-            q = self.generator()
-            ints += [q, q + self.one(), q * q - q]
-        return [x for x in ints]
-
     # -- JSON --------------------------------------------------------------
 
     def to_json(self) -> dict:

@@ -658,64 +658,38 @@ def is_centrally_generated(J: PhiStableIdeal, family: str, degree_slack: int = 2
 
 
 # ---------------------------------------------------------------------------
-# radicals (univariate only)
-
-
-def radical_univariate(J: PhiStableIdeal) -> PhiStableIdeal:
-    ring = J.ring
-    name = _univariate_gen(ring)
-    if J.is_zero():
-        return J
-    if len(J.generators) != 1:
-        raise UnsupportedRing("univariate ideals have a single monic generator")
-    f = J.generators[0]
-    sqfree = _squarefree(ring, name, f)
-    return phi_stable_ideal(ring, J.phis, [sqfree])
+# univariate squarefree parts
 
 
 def _derivative(ring, name, f):
     i = ring.index(name)
-    out = ring.zero()
-    for exps, c in f.terms.items():
-        e = exps[i]
-        if e:
-            new = list(exps)
-            new[i] = e - 1
-            out = out + ring.monomial(tuple(new), c * ring.field.from_int(e))
-    return out
+    terms = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * ring.field.from_int(e[i]) for e, c in f.terms.items()}
+    return RingElement(ring, {e: c for e, c in terms.items() if not c.is_zero()})
 
 
 def _squarefree(ring, name, f):
-    p = ring.field.characteristic()
+    """The monic product of the distinct irreducible factors of the univariate
+    f.  f / gcd(f, f') keeps those of multiplicity prime to the characteristic
+    p; the others divide gcd(f, f'), and f' = 0 makes f a p-th power."""
     df = _derivative(ring, name, f)
     if df.is_zero():
+        if f.degree() <= 0:
+            return ring.one()
         # f is a polynomial in t^p; over F_p its p-th root has the same coefficients
-        if not p:
-            return f
-        root = ring.zero()
-        i = ring.index(name)
-        for exps, c in f.terms.items():
-            if exps[i] % p:
-                raise InternalConsistencyError("a polynomial with zero derivative is one in t^p")
-            new = list(exps)
-            new[i] //= p
-            root = root + ring.monomial(tuple(new), c)
-        return _squarefree(ring, name, root)
+        i, p = ring.index(name), ring.field.characteristic()
+        if any(exps[i] % p for exps in f.terms):
+            raise InternalConsistencyError("a polynomial with zero derivative is one in t^p")
+        return _squarefree(ring, name, RingElement(ring, {exps[:i] + (exps[i] // p,) + exps[i + 1:]: c
+                                                          for exps, c in f.terms.items()}))
     g = _poly_gcd(ring, f, df)
-    rem, cof = reduce_with_certificate(f, [g])
-    if not rem.is_zero():
-        raise InternalConsistencyError("gcd(f, f') does not divide f")
-    result = cof[0]
-    if _derivative(ring, name, result).is_zero() and result.degree() > 0:
-        return _squarefree(ring, name, result)
-    _, lc = _leading(result)
-    return result * lc.inv()
+    u = reduce_with_certificate(f, [g])[1][0]
+    if g.degree() > 0 and ring.field.characteristic():
+        r = _squarefree(ring, name, g)
+        u = reduce_with_certificate(u * r, [_poly_gcd(ring, u, r)])[1][0]
+    return u * _leading(u)[1].inv()
 
 
 def _poly_gcd(ring, a, b):
     while not b.is_zero():
         a, b = b, reduce_with_certificate(a, [b])[0]
-    if a.is_zero():
-        return a
-    _, lc = _leading(a)
-    return a * lc.inv()
+    return a if a.is_zero() else a * _leading(a)[1].inv()

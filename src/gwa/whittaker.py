@@ -15,6 +15,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt
 
 from .core import GwaElement, GwaPresentation, gwa_mul
 from .errors import (
@@ -25,8 +27,9 @@ from .errors import (
     TruncationTooSmall,
     UnsupportedRing,
 )
-from .field import FieldElement, format_scalar
-from .ideals import PhiStableIdeal, _certified, _degrevlex_key, _leading, phi_stable_ideal
+from .field import FP_KIND, Q_KIND, FieldElement, format_scalar
+from .ideals import (PhiStableIdeal, _certified, _degrevlex_key, _derivative, _leading, _poly_gcd,
+                     _squarefree, phi_stable_ideal)
 from .linalg import (
     RowSpace,
     column_rows,
@@ -42,7 +45,7 @@ from .linalg import (
     same_span,
     sum_rows,
 )
-from .ring import RingElement, format_ring_element
+from .ring import BaseRing, RingElement, format_ring_element
 
 
 def _check_scalars(pres: GwaPresentation, values, name: str) -> tuple:
@@ -325,8 +328,7 @@ def build_module(pres: GwaPresentation, Q, zeta) -> WhittakerModule:
     if all(x.is_zero() for x in w):
         raise NotAWhittakerPair("the residue of 1 vanishes")
     model = MatrixModel(pres, zeta, gen_mats, x_mats, y_mats, w, basis_reps)
-    failures = verify_relations(model)
-    if failures:
+    if failures := verify_relations(model):
         raise InternalConsistencyError(f"constructed matrices violate relations: {failures}")
     return WhittakerModule(pres, zeta, Q, model)
 
@@ -636,14 +638,11 @@ def whittaker_vectors(V: WhittakerModule, eta) -> list:
     both directly and through the induced phi-action on R/Q; the two routes
     must agree."""
     if not V.is_matrix:
-        raise UnsupportedRing("use whittaker_vectors_symbolic for symbolic modules")
-    model = V.realization
-    pres = V.pres
+        raise UnsupportedRing("Whittaker vectors need a finite-dimensional module")
+    model, pres = V.realization, V.pres
     field, d = model.field, model.dim
     eta = _check_scalars(pres, eta, "eta")
-    direct = payload_kernel([row for i in range(pres.n)
-                             for row in _minus_scalar(model, model.x_rows[i], eta[i].payload)],
-                            field, d)
+    direct = _eigenspace(model, [(x, e.payload) for x, e in zip(model.x_rows, eta)])
 
     # Second route: r w is a Whittaker vector of type eta iff r + Q is a
     # phi_i-eigenvector with eigenvalue zeta_i^{-1} eta_i.  The matrix of the
@@ -653,38 +652,22 @@ def whittaker_vectors(V: WhittakerModule, eta) -> list:
     U_inv = inverse_rows(U, field)
     if U_inv is None:
         raise InternalConsistencyError("basis representatives do not span R/Q")
-    stacked = []
+    phibars = []
     for i in range(pres.n):
-        phi = pres.phis[i]
-        images = column_rows([model.ring_vector(phi.apply(rep)) for rep in model.basis_reps], d)
-        phibar = mul_rows(U_inv, images, field.ops)
-        stacked.extend(_minus_scalar(model, phibar, (V.zeta[i].inv() * eta[i]).payload))
-    induced = [mul_vec(U, x, field.ops) for x in payload_kernel(stacked, field, d)]
+        images = column_rows([model.ring_vector(pres.phis[i].apply(rep)) for rep in model.basis_reps], d)
+        phibars.append((mul_rows(U_inv, images, field.ops), (V.zeta[i].inv() * eta[i]).payload))
+    induced = [mul_vec(U, x, field.ops) for x in _eigenspace(model, phibars)]
 
     if not same_span(direct, induced, field, d):
         raise InternalConsistencyError("the two Whittaker-vector routes disagree")
     return element_rows(direct, field, d)
 
 
-def _minus_scalar(model: MatrixModel, m, c) -> list:
-    """The payload rows of m - c I, for a payload scalar c."""
-    ops = model.field.ops
-    return sum_rows([(model.field.one().payload, m), (ops[2](c), model._identity)], ops, model.dim)
-
-
-def whittaker_vectors_symbolic(V: WhittakerModule, eta, degree: int) -> list:
-    """Ring elements r of degree <= degree with r w in Wh_eta, via the
-    eigenvalue condition phi_i(r) = zeta_i^{-1} eta_i r mod Q."""
-    pres = V.pres
-    ring = pres.ring
-    eta = _check_scalars(pres, eta, "eta")
-    lams = [z.inv() * e for z, e in zip(V.zeta, eta)]
-    monos = [ring.monomial(m, ring.field.one()) for m in ring_monomials(ring, degree)]
-    images = [{(i, e): c.payload for i, lam in enumerate(lams)
-               for e, c in V.Q.reduce(pres.phis[i].apply(r) - r * lam).terms.items()}
-              for r in monos]
-    return [_combination(combo, monos, ring.zero(), ring.field)
-            for combo in payload_relations(images, ring.field)]
+def _eigenspace(model: MatrixModel, pairs) -> list:
+    """A basis of {v : m v = c v for each pair (payload matrix m, payload scalar c)}."""
+    field, d = model.field, model.dim
+    return payload_kernel([row for m, c in pairs for row in sum_rows(
+        [(field.one().payload, m), (field.ops[2](c), model._identity)], field.ops, d)], field, d)
 
 
 # ---------------------------------------------------------------------------
@@ -697,76 +680,124 @@ class SimplicityVerdict:
     certificate: str | None = None
     submodule: list | None = None  # basis vectors of a proper invariant subspace
 
-    def __bool__(self):
-        return self.kind == "simple"
+
+def _closure(model: MatrixModel, vectors, mats=None) -> RowSpace:
+    """The span of the vectors and their images under the matrices (default: the action)."""
+    space, mats = RowSpace(model.field, model.dim), mats or model.action_rows()
+    frontier = [v for v in vectors if space.add_payloads(v)]
+    while frontier:
+        frontier = [img for u, g in itertools.product(frontier, mats)
+                    if space.add_payloads(img := mul_vec(g, u, model.field.ops))]
+    return space
 
 
-def _flattened(m, d: int) -> dict:
-    """The d x d payload matrix m as one row-major payload row of d * d entries."""
-    return {i * d + j: x for i, row in enumerate(m) for j, x in row.items()}
+def _submodule(model: MatrixModel, space: RowSpace) -> SimplicityVerdict:
+    """not_simple with the span as witness, checked nonzero, proper and invariant."""
+    rows = space.rows
+    if not 0 < space.dim < model.dim or any(space.add_payloads(mul_vec(g, row, model.field.ops))
+                                            for g in model.action_rows()
+                                            for row in payload_rows(rows, model.field)):
+        raise InternalConsistencyError("a simplicity witness is not a proper submodule")
+    return SimplicityVerdict("not_simple", None, rows)
 
 
-def is_simple(V: WhittakerModule, seed: int = 0, random_trials: int = 20) -> SimplicityVerdict:
-    """Burnside certificate first; otherwise search for invariant subspaces."""
+def _minimal_polynomial(m, v: dict, ring, slot: int = 0) -> RingElement:
+    """The monic minimal polynomial of the payload matrix m on the vector v, in
+    the slot-th generator of the ring, from the first dependent m^k v.  It is
+    m's own when v generates the module over a commutative algebra holding m."""
+    space, powers = RowSpace(ring.field, len(m)), [v]
+    while space.add_payloads(powers[-1]):
+        powers.append(mul_vec(m, powers[-1], ring.field.ops))
+    zeros = (0,) * len(ring.gens)
+    return RingElement(ring, {zeros[:slot] + (k,) + zeros[slot + 1:]: FieldElement(ring.field, c)
+                              for k, c in payload_relations(powers, ring.field)[0].items()})
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the square a modulo the odd prime p (Tonelli-Shanks)."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1        # p - 1 = q 2^s with q odd
+    q = (p - 1) >> s
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t > 1:
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _quadratic_root(b: FieldElement, c: FieldElement):
+    """A root of x^2 + b x + c or None: over F_p by Euler's criterion (p = 2: try
+    both), over Q by the discriminant; elsewhere NotImplemented unless it is a rational square."""
+    field, two = b.spec, b.spec.from_int(2)
+    if field.kind == FP_KIND and field.p == 2:
+        return next((x for x in (field.zero(), field.one()) if ((x + b) * x + c).is_zero()), None)
+    disc = b * b - c * two * two
+    if field.kind == FP_KIND:
+        if pow(disc.payload, (field.p - 1) // 2, field.p) > 1:
+            return None
+        return (field.from_int(_sqrt_mod(disc.payload, field.p)) - b) / two
+    try:
+        num, den = disc.as_fraction().as_integer_ratio()
+    except InvalidParameters:       # an irrational discriminant
+        return NotImplemented
+    if num >= 0 and isqrt(num) ** 2 == num and isqrt(den) ** 2 == den:
+        return (field.from_fraction(Fraction(isqrt(num), isqrt(den))) - b) / two
+    return None if field.kind == Q_KIND else NotImplemented
+
+
+def is_simple(V: WhittakerModule) -> SimplicityVerdict:
+    """The paper's criterion: V = A w ~ R/Q is simple exactly when Q is radical
+    (each ring generator's minimal polynomial m_x is squarefree; the fields are
+    perfect) and End(V) = (R/Q)^phi, which is Wh_zeta(V) once R w = V, is a
+    field.  Witnesses: A sqfree(m_x) w in sqrt(Q)/Q, ker(c - mu) for a root mu
+    of m_c, closures of eigenvectors of the action; each is re-checked."""
     if not V.is_matrix:
         return SimplicityVerdict("inconclusive", "symbolic realization")
     model = V.realization
-    field = model.field
-    d = model.dim
-    if d == 0:
-        raise NotAWhittakerPair("the zero module is not a Whittaker module")
+    field, d = model.field, model.dim
+    if d == 0 or not model.w_row:
+        raise NotAWhittakerPair("a Whittaker module has a nonzero cyclic vector")
+    if failures := verify_relations(model):
+        return SimplicityVerdict("inconclusive", "relations fail: " + "; ".join(failures))
+    # A w = R w, and a finite-dimensional R-closure is closed under inverses
+    cyclic = _closure(model, [model.w_row], list(model.gen_rows.values()))
+    if cyclic.dim < d:
+        return _submodule(model, cyclic)
+    ring = V.pres.ring
+    for slot, name in enumerate(ring.gens):
+        m = _minimal_polynomial(model.gen_rows[name], model.w_row, ring, slot)
+        dm = _derivative(ring, name, m)
+        if dm.is_zero() or _poly_gcd(ring, m, dm).degree() > 0:
+            return _submodule(model, _closure(model, [model.ring_vector(_squarefree(ring, name, m))]))
 
-    # the Burnside closure: products of the generators, as flattened payload
-    # rows, until the algebra they span is all of M_d or no product is new
-    gens = model.action_rows()
-    ops = field.ops
-    one = field.one().payload
-    algebra = RowSpace(field, d * d)
-    frontier = [[{i: one} for i in range(d)]]
-    algebra.add_payloads({i * d + i: one for i in range(d)})
-    while frontier and algebra.dim < d * d:
-        new = []
-        for m, g in itertools.product(frontier, gens):
-            if algebra.dim == d * d:
-                break
-            prod = mul_rows(m, g, ops)
-            if algebra.add_payloads(_flattened(prod, d)):
-                new.append(prod)
-        frontier = new
-    if algebra.dim == d * d:
-        return SimplicityVerdict("simple", "burnside")
-
-    # eigenvector candidates: the kernels of g - mu I, mu on g's diagonal
-    candidates = []
+    whittaker = _eigenspace(model, [(x, z.payload) for x, z in zip(model.x_rows, model.zeta)])
+    if len(whittaker) == 1:
+        return SimplicityVerdict("simple", "Ann_R(w) is radical and dim End(V) = 1")
+    # a non-scalar element c of End(V): off the diagonal (k = i d + i), or two values on it
+    flat = next(v for v in _commutant(model)
+                if len(v) < d or any(k % (d + 1) for k in v) or len(set(v.values())) > 1)
+    c = [{k % d: x for k, x in flat.items() if k // d == i} for i in range(d)]
+    m_c = _minimal_polynomial(c, model.w_row, BaseRing(field, ["c"]))
+    # eigenvector candidates: ker(c - mu) for a root mu of a quadratic m_c, then ker(g - mu) for mu on
+    # g's diagonal, in first-occurrence order so that the submodule does not vary with hashing
     zero = field.zero().payload
-    for g in gens:
-        # first-occurrence order: a set's order follows hashes that differ
-        # between processes, and would make the reported submodule vary
-        for mu in dict.fromkeys(g[i].get(i, zero) for i in range(d)):
-            candidates.extend(payload_kernel(_minus_scalar(model, g, mu), field, d))
-    import random as _random
-
-    rng = _random.Random(seed)
-    pool = field.sample_pool()
-    for _ in range(random_trials):
-        candidates.append(payload_row([rng.choice(pool) for _ in range(d)], field))
-
-    for v in candidates:
-        if not v:
-            continue
-        space = RowSpace(field, d)
-        space.add_payloads(v)
-        frontier = [v]
-        while frontier:
-            new = []
-            for u, g in itertools.product(frontier, gens):
-                img = mul_vec(g, u, ops)
-                if space.add_payloads(img):
-                    new.append(img)
-            frontier = new
-        if 0 < space.dim < d:
-            return SimplicityVerdict("not_simple", None, space.rows)
-    return SimplicityVerdict("inconclusive", "no Burnside certificate; submodule search exhausted")
+    candidates = [(g, dict.fromkeys(g[i].get(i, zero) for i in range(d))) for g in model.action_rows()]
+    if len(whittaker) == 2:
+        mu = _quadratic_root(*(m_c.terms.get((k,), field.zero()) for k in (1, 0)))
+        if mu is None:
+            return SimplicityVerdict("simple", f"Ann_R(w) is radical and End(V) = F[c], "
+                                               f"m_c = {format_ring_element(m_c)} has no root")
+        if mu is not NotImplemented:
+            candidates.insert(0, (c, [mu.payload]))
+    for g, mus in candidates:
+        for mu in mus:
+            for v in _eigenspace(model, [(g, mu)]):
+                space = _closure(model, [v])
+                if space.dim < d:
+                    return _submodule(model, space)
+    return SimplicityVerdict("inconclusive", f"Ann_R(w) is radical, dim End(V) = {len(whittaker)}; "
+                                             f"m_c = {format_ring_element(m_c)} is not decided")
 
 
 # ---------------------------------------------------------------------------
@@ -780,16 +811,11 @@ class EndoReport:
     s_matches: bool
 
 
-def endo_ring(V: WhittakerModule) -> EndoReport:
-    """Commutant of the action compared against pi(S), S = {s : s - phi_i(s) in
-    Ann_R(w)}, read exactly off the basis representatives, which span R/Ann_R(w)."""
-    if not V.is_matrix:
-        raise UnsupportedRing("endomorphism computation needs a matrix model")
-    model = V.realization
-    pres = V.pres
-    field = model.field
-    d = model.dim
-    add, _, neg, _, is_zero = ops = field.ops
+def _commutant(model: MatrixModel) -> list:
+    """The matrices M with g M = M g for every action matrix g, as a basis of
+    row-major flattened payload rows."""
+    field, d = model.field, model.dim
+    add, _, neg, _, is_zero = field.ops
     # the linear map M -> g M - M g on row-major flattened M, one row per entry (a, b)
     rows = []
     for g in model.action_rows():
@@ -801,7 +827,17 @@ def endo_ring(V: WhittakerModule) -> EndoReport:
                     j = a * d + k
                     row[j] = neg(x) if j not in row else add(row[j], neg(x))
                 rows.append({j: x for j, x in row.items() if not is_zero(x)})
-    commutant = payload_kernel(rows, field, d * d)
+    return payload_kernel(rows, field, d * d)
+
+
+def endo_ring(V: WhittakerModule) -> EndoReport:
+    """Commutant of the action compared against pi(S), S = {s : s - phi_i(s) in
+    Ann_R(w)}, read exactly off the basis representatives, which span R/Ann_R(w)."""
+    if not V.is_matrix:
+        raise UnsupportedRing("endomorphism computation needs a matrix model")
+    model, pres = V.realization, V.pres
+    field, d = model.field, model.dim
+    commutant = _commutant(model)
 
     # pi(s) for s = sum_j c_j rep_j is sum_j c_j pi(rep_j)
     images = [{(p, i): x for p, phi in enumerate(pres.phis)
@@ -809,8 +845,8 @@ def endo_ring(V: WhittakerModule) -> EndoReport:
               for r in model.basis_reps]
     s_rows = []
     for combo in payload_relations(images, field):
-        m = sum_rows([(c, model.ring_rows(model.basis_reps[j])) for j, c in combo.items()], ops, d)
-        s_rows.append(_flattened(m, d))
+        m = sum_rows([(c, model.ring_rows(model.basis_reps[j])) for j, c in combo.items()], field.ops, d)
+        s_rows.append({i * d + j: x for i, row in enumerate(m) for j, x in row.items()})
 
     flat = element_rows(commutant, field, d * d)
     return EndoReport(len(commutant), [[vec[i * d:(i + 1) * d] for i in range(d)] for vec in flat],

@@ -1,5 +1,6 @@
 import pytest
 
+import gwa.catalog
 from gwa.catalog import (
     FamilySpec,
     TheoremModuleSpec,
@@ -46,6 +47,20 @@ def test_smith_telescoping_sl2():
     # s(x) = 2x gives r(x) = 2x^2 - 2x, the U(sl2) Casimir normalization
     r = solve_telescoping(Q, [Q.zero(), Q.from_int(2)])
     assert r == [Q.zero(), Q.from_int(-2), Q.from_int(2)]
+
+
+def test_telescoping_claim_evaluates_r(monkeypatch):
+    """The family-facts telescoping claim is green for the solved r, and red,
+    naming r, once r stops telescoping to s."""
+    F5 = prime_field(5)
+    spec = FamilySpec("smith", F5, {"s": [F5.zero(), F5.from_int(2)]})
+    claim = next(c for c in verify_family_facts(spec).claims if c.cid == "telescoping")
+    assert claim.ok and claim.detail == ""
+    pres = build_family(spec)
+    pres.meta["r"] = [F5.zero(), F5.from_int(-2), F5.from_int(3)]   # 2h^2 - 2h is right
+    monkeypatch.setattr(gwa.catalog, "build_family", lambda _: pres)
+    claim = next(c for c in verify_family_facts(spec).claims if c.cid == "telescoping")
+    assert not claim.ok and claim.detail == "r(h) = 3*h^2 + 3*h"
 
 
 def test_smith_family_is_sl2_like():

@@ -230,6 +230,45 @@ def test_module_build_prints_the_saturated_annihilator(config, capsys):
     assert json.loads(out)["annihilator_generators"] == ["c - 2"]
 
 
+def _fixed(field):
+    """F[t] with phi = id and t_1 = t: every ideal is phi-stable, so V = R/Q is
+    simple exactly when R/Q is a field."""
+    return {"field": field, "ring": {"vars": ["t"], "laurent": [False]},
+            "automorphisms": [{"t": "t"}], "t": ["t"]}
+
+
+FIXED_Q, FIXED_F2, FIXED_F3, FIXED_F17 = (_fixed(f) for f in (
+    {"field": "Q"}, {"field": "Fp", "p": 2}, {"field": "Fp", "p": 3}, {"field": "Fp", "p": 17}))
+
+
+@pytest.mark.parametrize("algebra, annihilator, verdict, witness_dim", [
+    (FIXED_Q, "(t^2+1)^2", "not_simple", 2),     # sqrt(Q)/Q = (t^2+1)/(t^2+1)^2
+    (FIXED_Q, "t^2+1", "simple", None),          # R/Q = Q(i)
+    (FIXED_Q, "t^2-1", "not_simple", 1),         # R/Q = Q x Q
+    (DOUBLING, "t^3", "not_simple", 2),          # sqrt(Q)/Q = (t)/(t^3)
+    (FIXED_F3, "t^9+t^3", "not_simple", 6),      # (t^3+t)^3: f' = 0, a cube
+    (FIXED_F3, "t^4-t^3", "not_simple", 2),      # t^3 (t-1): t divides gcd(f, f') only
+    (FIXED_F17, "t^2-2", "not_simple", 1),       # 6^2 = 2 mod 17
+    (FIXED_F17, "t^2-3", "simple", None),        # 3 is not a square mod 17
+    (FIXED_F2, "t^2+t", "not_simple", 1),
+    (FIXED_F2, "t^2+t+1", "simple", None),
+])
+def test_module_simple_decides_by_the_radical_and_end(config, capsys, algebra, annihilator,
+                                                      verdict, witness_dim):
+    """The radical test and the quadratic End(V) = F[c] decide each case; a
+    witness spans sqrt(Q)/Q or an eigenspace of c."""
+    path = config(algebra)
+    code, out, _ = run(capsys, "--config", path, "--json", "module", "--zeta", "1",
+                       "--annihilator", annihilator, "simple")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == verdict
+    if witness_dim is None:
+        assert payload["certificate"].startswith("Ann_R(w) is radical and ")
+    else:
+        assert len(payload["submodule"]) == witness_dim
+
+
 def test_module_simple_and_whittaker_vectors(config, capsys):
     path = config(SMITH5)
     code, out, _ = run(capsys, "--config", path, "--json",

@@ -16,12 +16,12 @@ from gwa.ideals import (
     normal_form,
     phi_stable_closure,
     phi_stable_ideal,
-    radical_univariate,
     reduce_with_certificate,
     _spoly,
+    _squarefree,
 )
 from gwa.ring import Automorphism, BaseRing, format_ring_element, identity_automorphism
-from util import certificate_holds, random_ring_element, stability_certificates_hold
+from util import certificate_holds, random_ring_element, sample_pool, stability_certificates_hold
 
 Q = rationals()
 
@@ -303,20 +303,17 @@ def test_centrally_generated_unsupported_family():
         is_centrally_generated(J, "nonsense")
 
 
-def test_radical_univariate():
-    R = univariate()
-    t = R.gen("t")
-    doubling = Automorphism(R, {"t": t * Q.from_int(2)})
-    J = phi_stable_ideal(R, [doubling], [t ** 3])
-    assert radical_univariate(J).generators == [t]
-
-    F3 = prime_field(3)
-    R3 = univariate(F3)
-    s = R3.gen("t")
-    identity = Automorphism(R3, {"t": s})
-    # (t^3 + t)^3 = t^9 + t^3 in char 3; its radical is t^3 + t = t(t^2+1), squarefree
-    J3 = phi_stable_ideal(R3, [identity], [s ** 9 + s ** 3])
-    assert radical_univariate(J3).generators == [s ** 3 + s]
+@pytest.mark.parametrize("p, f, expected", [
+    (0, lambda t: t ** 3, lambda t: t),
+    (3, lambda t: t ** 9 + t ** 3, lambda t: t ** 3 + t),          # (t^3 + t)^3: f' = 0
+    (3, lambda t: t ** 4 - t ** 3, lambda t: t ** 2 - t),          # t^3 (t - 1)
+    (3, lambda t: (t ** 3 - t) ** 3 * (t + t.ring.one()) ** 2, lambda t: t ** 3 - t),
+])
+def test_squarefree_part(p, f, expected):
+    """The product of the distinct irreducible factors, also when a
+    multiplicity is divisible by the characteristic."""
+    t = univariate(prime_field(p) if p else Q).gen("t")
+    assert _squarefree(t.ring, "t", f(t)) == expected(t)
 
 
 def test_stability_certificate_reexpands():
@@ -671,7 +668,7 @@ def test_saturation_matches_sympy(name):
 @pytest.mark.parametrize("name", ["Q(zeta6)[c,K^+-1]", "Q[x,K^+-1]"])
 def test_reduce_is_the_canonical_residue(name):
     ring = GROEBNER_RINGS[name]
-    pool = ring.field.sample_pool()
+    pool = sample_pool(ring.field)
     rng = random.Random(zlib.crc32((name + " reduce").encode()))
     K = ring.gen("K")
     seen = set()

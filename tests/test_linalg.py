@@ -24,7 +24,7 @@ from gwa.whittaker import build_module, endo_ring, is_simple
 
 import dense
 from dense import DenseRowSpace, transpose
-from util import identity, random_ring_element, univariate_affine
+from util import identity, random_ring_element, sample_pool, univariate_affine
 
 FIELDS = [rationals(), prime_field(5), cyclotomic_field(6)]
 # the row-space and product references also run over Q(q), whose payloads are
@@ -39,7 +39,7 @@ def contains(space, v) -> bool:
 
 def random_vector(rng, spec, width):
     """Mostly sparse (one to four nonzeros), sometimes dense, sometimes zero."""
-    pool = [x for x in spec.sample_pool() if not x.is_zero()]
+    pool = [x for x in sample_pool(spec) if not x.is_zero()]
     v = [spec.zero()] * width
     shape = rng.random()
     if shape < 0.1:
@@ -52,7 +52,7 @@ def random_vector(rng, spec, width):
 
 def combination(rng, spec, vectors):
     """A random linear combination of up to three of the given vectors."""
-    pool = spec.sample_pool()
+    pool = sample_pool(spec)
     out = [spec.zero()] * len(vectors[0])
     for v in rng.sample(vectors, min(3, len(vectors))):
         c = rng.choice(pool)
@@ -63,7 +63,7 @@ def combination(rng, spec, vectors):
 def vector_stream(rng, spec, width, count):
     """Fresh vectors mixed with duplicates, scalar multiples and combinations."""
     out = []
-    pool = [x for x in spec.sample_pool() if not x.is_zero()]
+    pool = [x for x in sample_pool(spec) if not x.is_zero()]
     for _ in range(count):
         kind = rng.random()
         if out and kind < 0.15:
@@ -272,7 +272,7 @@ def test_payload_kernel_matches_element_reference(spec):
         n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
         a, b = random_matrix(rng, spec, n, k), random_matrix(rng, spec, k, m)
         changed = [list(row) for row in b]
-        changed[rng.randrange(k)][rng.randrange(m)] = rng.choice(spec.sample_pool())
+        changed[rng.randrange(k)][rng.randrange(m)] = rng.choice(sample_pool(spec))
         products = []
         for left, right in [(a, b), _stacked(a, b, b), _stacked(a, b, changed)]:
             ref = dense.mat_mul(left, right)
@@ -309,7 +309,7 @@ def test_payload_kernel_matches_element_reference(spec):
 def random_matrix(rng, spec, rows, cols, rank_at_most=None):
     """Entries from the sample pool, about half of them zero; with
     rank_at_most, every row is a combination of that many random rows."""
-    pool = spec.sample_pool()
+    pool = sample_pool(spec)
 
     def row():
         return [rng.choice(pool) if rng.random() < 0.5 else spec.zero() for _ in range(cols)]

@@ -18,11 +18,12 @@ from gwa.catalog import (
     default_grid,
     tilde_t,
 )
-from gwa.core import gwa_mul
+from gwa.core import GwaPresentation, gwa_mul
 from gwa.errors import FieldMismatch, InvalidParameters, NotAWhittakerPair, NotPhiStable, UnsupportedRing
 from gwa.field import cyclotomic_field, prime_field, rational_functions, rationals
 from gwa.ideals import ideal_equal_gens, phi_stable_ideal
 from gwa.linalg import RowSpace, element_rows, kernel_basis, linear_combination, linear_relations, zeros
+from gwa.ring import Automorphism
 from gwa.whittaker import (
     EndoReport,
     MatrixModel,
@@ -45,11 +46,18 @@ from gwa.whittaker import (
     universal_module,
     verify_relations,
     whittaker_vectors,
-    whittaker_vectors_symbolic,
 )
 
 from dense import dense_span, inverse, mat_mul, mat_sub, mat_vec, rank, scaled_identity, transpose
-from util import identity, random_gwa_element, random_ring_element, univariate_affine, weyl1
+from util import (
+    identity,
+    random_gwa_element,
+    random_ring_element,
+    sample_pool,
+    univariate_affine,
+    weyl1,
+    witness_is_submodule,
+)
 
 Q = rationals()
 
@@ -249,24 +257,10 @@ def test_whittaker_vectors_checks_eta():
         with pytest.raises(InvalidParameters):
             whittaker_vectors(V, eta)
     symbolic = universal_module(V.pres, V.zeta)
-    for eta in ([1], [F5.one()], []):
-        with pytest.raises(InvalidParameters):
-            whittaker_vectors_symbolic(symbolic, eta, degree=2)
     assert whittaker_vectors(V, [Q.zero()]) == []
     assert len(whittaker_vectors(V, [Q.one()])) == 1
     with pytest.raises(UnsupportedRing):
         whittaker_vectors(symbolic, [Q.one()])
-
-
-def test_whittaker_vectors_universal():
-    # Cor: r w_u is a Whittaker vector iff r is a phi-eigenvector
-    pres = univariate_affine(Q, Q.from_int(2), Q.from_int(0))
-    V = universal_module(pres, (Q.one(),))
-    t = pres.ring.gen("t")
-    for eta, expected in ((2, [t]), (4, [t ** 2]), (3, [])):
-        assert whittaker_vectors_symbolic(V, (Q.from_int(eta),), degree=3) == expected
-    with pytest.raises(InvalidParameters):
-        whittaker_vectors_symbolic(V, (Q.from_int(2), Q.from_int(4)), degree=3)
 
 
 def test_is_simple_chain_module():
@@ -511,9 +505,10 @@ def ref_whittaker_vectors(V, eta):
 
 
 def ref_is_simple(V, seed=0, random_trials=20):
-    """Reference: the Burnside closure and the submodule search of is_simple
-    on FieldElement matrices, with the same candidates in the same order: the
-    eigenvectors of each generator, then the seeded random vectors."""
+    """Reference independent of is_simple's criterion, on FieldElement
+    matrices: simple when the action spans M_d (Burnside), not_simple when the
+    closure of an eigenvector of a generator or of a seeded random vector is
+    proper, else inconclusive."""
     model = V.realization
     field = model.field
     d = model.dim
@@ -534,7 +529,7 @@ def ref_is_simple(V, seed=0, random_trials=20):
         for mu in dict.fromkeys(g[i][i] for i in range(d)):
             candidates.extend(kernel_basis(mat_sub(g, scaled_identity(field, d, mu)), field))
     rng = random.Random(seed)
-    pool = field.sample_pool()
+    pool = sample_pool(field)
     candidates += [[rng.choice(pool) for _ in range(d)] for _ in range(random_trials)]
     for v in candidates:
         if all(x.is_zero() for x in v):
@@ -556,15 +551,20 @@ def ref_is_simple(V, seed=0, random_trials=20):
 def _assert_verdicts_match_reference(V, rng):
     """whittaker_vectors and is_simple against their dense references: the
     same basis for the type zeta, an eigenvalue type and a random one (zero
-    allowed), and the same verdict and submodule rows.  endo_ring is compared
-    by _assert_walk_matches_reference."""
+    allowed); the same verdict kind wherever the Burnside reference decides,
+    and a witness that is a proper submodule.  endo_ring is compared by
+    _assert_walk_matches_reference."""
     model = V.realization
-    pool = model.field.sample_pool()
+    pool = sample_pool(model.field)
     diagonals = [[x[j][j] for j in range(model.dim)] for x in model.x_mats]
     for eta in (V.zeta, tuple(rng.choice(diag) for diag in diagonals),
                 tuple(rng.choice(pool) for _ in V.zeta)):
         assert whittaker_vectors(V, eta) == ref_whittaker_vectors(V, eta)
-    assert is_simple(V) == ref_is_simple(V)
+    verdict, reference = is_simple(V), ref_is_simple(V)
+    if reference.kind != "inconclusive":
+        assert verdict.kind == reference.kind
+    if verdict.kind == "not_simple":
+        assert witness_is_submodule(model, verdict.submodule)
 
 
 def _assert_walk_matches_reference(V):
@@ -632,7 +632,7 @@ def test_annihilator_walk_matches_reference_on_seeded_modules(family):
     pres, invariants, squares = _seeded_families()[family]
     rng = random.Random(zlib.crc32(("annihilator walk " + family).encode()))
     verdict_rng = random.Random(zlib.crc32(("verdicts " + family).encode()))
-    pool = pres.ring.field.sample_pool()
+    pool = sample_pool(pres.ring.field)
     nonzero = [c for c in pool if not c.is_zero()]
     built = 0
     while built < 4:
@@ -656,9 +656,9 @@ def test_verdicts_match_reference_on_seeded_chain_modules(field, alpha):
     family: phi(tilde) = alpha tilde, so tilde R/(tilde^k) is a submodule and
     for k >= 2 the submodule search runs."""
     rng = random.Random(zlib.crc32(("chain modules " + repr(field)).encode()))
-    nonzero = [c for c in field.sample_pool() if not c.is_zero()]
+    nonzero = [c for c in sample_pool(field) if not c.is_zero()]
     for _ in range(4):
-        beta = rng.choice(field.sample_pool())
+        beta = rng.choice(sample_pool(field))
         pres = univariate_affine(field, alpha, beta)
         tilde = pres.ring.gen("t") * (alpha - field.one()) + pres.ring.scalar(beta)
         V = build_module(pres, [tilde ** rng.randint(1, 4)], (rng.choice(nonzero),))
@@ -684,6 +684,9 @@ def test_cyclic_claim_is_false_when_w_does_not_generate():
     assert not ref_cyclic(V)
     claims = {c.cid: c.ok for c in _standard_claims(V, [], None)}
     assert claims["cyclic"] is False and claims["annihilator"] is True
+    # R w is the first summand, a proper submodule
+    verdict = is_simple(V)
+    assert verdict.kind == "not_simple" and verdict.submodule == [[Q.one(), Q.zero()]]
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +838,39 @@ def test_thm43_generator_check_on_a_broken_model():
     assert not res.ok and (res.kernel_dim, res.span_dim) == (-1, -1)
     assert res.witness == pres.X() - pres.scalar(Q.one())
     assert thm43_truncated_check(V, degree=3).ok
+
+
+def test_is_simple_is_inconclusive_on_a_broken_model():
+    """The criterion needs the relations: a model that breaks one is not judged."""
+    pres = univariate_affine(Q, Q.from_int(2), Q.from_int(0))
+    V = build_module(pres, [pres.ring.gen("t")], (Q.one(),))
+    model = V.realization
+    x = model.x_mats
+    x[0][0][0] = x[0][0][0] + Q.one()
+    broken = WhittakerModule(pres, V.zeta, V.Q, _rebuilt(V, x, model.y_mats, model.gen_mats))
+    verdict = is_simple(broken)
+    assert verdict.kind == "inconclusive" and verdict.certificate.startswith("relations fail: ")
+    assert "X_0 w != zeta_0 w" in verdict.certificate
+
+
+def test_is_simple_names_m_c_when_undecided():
+    """phi = id and Q = (t^2+1)(t^2+2): R/Q = Q(i) x Q(sqrt(-2)) is 4-dimensional
+    and radical, End(V) = R/Q is not a field, and no eigenvector of the action
+    generates a proper submodule, so the verdict is inconclusive and names m_c."""
+    R = univariate_affine(Q, Q.one(), Q.zero()).ring
+    pres = GwaPresentation(R, [Automorphism(R, {"t": R.gen("t")})], [R.gen("t")])
+    t = R.gen("t")
+    verdict = is_simple(build_module(pres, [(t ** 2 + R.one()) * (t ** 2 + R.scalar(Q.from_int(2)))],
+                                     (Q.one(),)))
+    assert verdict.kind == "inconclusive"
+    assert verdict.certificate.startswith("Ann_R(w) is radical, dim End(V) = 4; m_c = c^")
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 17, 97, 257, 7681])
+def test_sqrt_mod_is_a_square_root(p):
+    """Tonelli-Shanks on every square, p - 1 with 2-adic valuation 1 to 9."""
+    for a in {x * x % p for x in range(p)}:
+        assert whittaker._sqrt_mod(a, p) ** 2 % p == a
 
 
 def test_stopped_span_matches_full_span_symbolic_smith():

@@ -1,9 +1,11 @@
 """Shared helpers for parts of the suite that predate the catalog module."""
 
 import random
+from fractions import Fraction
 
 from gwa.core import GwaPresentation
-from gwa.field import rationals
+from gwa.field import CYC_KIND, Q_KIND, QQ_KIND, rationals
+from gwa.linalg import RowSpace, mat_mul
 from gwa.ring import Automorphism, BaseRing
 
 
@@ -25,8 +27,37 @@ def univariate_affine(field, alpha, beta) -> GwaPresentation:
     return GwaPresentation(R, [phi], [R.gen("t")])
 
 
+def sample_pool(spec) -> list:
+    """A small fixed list of scalars of the field, for randomized sweeps."""
+    pool = [spec.from_int(k) for k in (-2, -1, 0, 1, 2, 3)]
+    if spec.kind == Q_KIND:
+        pool += [spec.from_fraction(Fraction(1, 2)), spec.from_fraction(Fraction(-2, 3))]
+    elif spec.kind in (CYC_KIND, QQ_KIND):
+        g = spec.generator()
+        pool += [g, g + spec.one(), g * g - (spec.one() if spec.kind == CYC_KIND else g)]
+    return pool
+
+
+def witness_is_submodule(model, rows) -> bool:
+    """Whether the vectors span a nonzero proper subspace that every action
+    matrix of the model maps into itself; FieldElement arithmetic only."""
+    spec, d = model.field, model.dim
+    space = RowSpace(spec, d)
+    for row in rows:
+        space.add(row)
+    if not 0 < space.dim < d:
+        return False
+    mats = model.x_mats + model.y_mats + list(model.gen_mats.values())
+    for m in mats:
+        for row in rows:
+            image = [r[0] for r in mat_mul(m, [[x] for x in row])]
+            if space.add(image):
+                return False
+    return True
+
+
 def random_ring_element(rng: random.Random, ring, max_degree=3, n_terms=3):
-    pool = ring.field.sample_pool()
+    pool = sample_pool(ring.field)
     out = ring.zero()
     for _ in range(rng.randint(1, n_terms)):
         exps = []
