@@ -15,7 +15,6 @@ from .core import (
     format_element,
     gwa_mul,
     is_central,
-    quotient_gwa,
     ykxl_collapse,
 )
 from .field import (

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Commands:  normalize | center | ideals classify/stable-check/closure |
+Commands:  normalize | center | ideals classify/stable-check/central/closure |
 module build/act/whittaker-vectors/ann-w/simple/endo | verify <theorem>.
 Configuration comes from a JSON file (--config); stdout carries data (JSON
 with --json), stderr carries human-readable messages.
@@ -41,8 +41,10 @@ from .linalg import element_rows, mul_vec
 from .ideals import (
     classify_univariate,
     ideal_membership_gens,
+    is_centrally_generated,
     is_phi_stable,
     phi_stable_closure,
+    phi_stable_ideal,
 )
 from .parser import parse_element, parse_ring_element, parse_scalar
 from .ring import Automorphism, BaseRing, format_ring_element
@@ -252,6 +254,12 @@ def cmd_ideals(args) -> int:
                     break
         _emit(args, payload)
         return EXIT_OK
+    if args.ideals_cmd == "central":
+        ok, central = is_centrally_generated(phi_stable_ideal(ring, pres.phis, gens))
+        payload = {"centrally_generated": ok,
+                   "central_generators": [format_ring_element(g) for g in central]}
+        _emit(args, payload)
+        return EXIT_OK
     if args.ideals_cmd == "closure":
         closure = phi_stable_closure(gens, pres.phis)
         payload = {"generators": [format_ring_element(g) for g in closure.generators],
@@ -426,7 +434,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ps = p.add_subparsers(dest="ideals_cmd", required=True, parser_class=parser_class)
     c = ps.add_parser("classify")
     c.set_defaults(fn=cmd_ideals)
-    for name in ("stable-check", "closure"):
+    for name in ("stable-check", "central", "closure"):
         c = ps.add_parser(name)
         c.add_argument("generators", help="comma-separated ring elements")
         c.set_defaults(fn=cmd_ideals)

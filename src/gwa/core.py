@@ -18,13 +18,10 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameters,
     NonCommutingAutomorphisms,
-    NotPresentable,
     PresentationMismatch,
-    TiInIdeal,
     UnsupportedFamily,
 )
 from .ring import (
-    Automorphism,
     BaseRing,
     RingElement,
     affine_order,
@@ -398,103 +395,6 @@ def is_central(pres: GwaPresentation, a: GwaElement) -> bool:
         if gwa_mul(a, r) != gwa_mul(r, a):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# quotient presentations
-
-
-def quotient_gwa(pres: GwaPresentation, J) -> GwaPresentation:
-    """Presentation of A/AJ over R/J for a phi-stable ideal J, when R/J is
-    again a polynomial/Laurent ring (each generator of J eliminates one ring
-    generator, as in c - theta).  Primality of J is the caller's concern for
-    unstructured inputs."""
-    gens = list(getattr(J, "generators", J))
-    ring = pres.ring
-    if not gens:
-        return pres
-
-    eliminated = {}
-    work = [g for g in gens if not g.is_zero()]
-    progress = True
-    while work and progress:
-        progress = False
-        for w in list(work):
-            target = _elimination_shape(ring, w, eliminated)
-            if target is not None:
-                name, value = target
-                eliminated[name] = value
-                work.remove(w)
-                progress = True
-                break
-    if work:
-        raise NotPresentable("the quotient by this ideal leaves the polynomial/Laurent class")
-
-    keep = [g for g in ring.gens if g not in eliminated]
-    flags = [ring.laurent[ring.index(g)] for g in keep]
-    new_ring = BaseRing(ring.field, keep, flags)
-
-    def project(r: RingElement) -> RingElement:
-        images = {}
-        for g in ring.gens:
-            if g in eliminated:
-                images[g] = eliminated[g]
-            else:
-                exps = [0] * len(ring.gens)
-                exps[ring.index(g)] = 1
-                images[g] = ring.monomial(tuple(exps), ring.field.one())
-        # resolve chained eliminations, then transport to the smaller ring
-        out = r
-        for _ in range(len(ring.gens) + 1):
-            nxt = out.substitute(images)
-            if nxt == out:
-                break
-            out = nxt
-        new_terms = {}
-        for exps, c in out.terms.items():
-            plucked = []
-            for g in keep:
-                plucked.append(exps[ring.index(g)])
-            for g in eliminated:
-                if exps[ring.index(g)] != 0:
-                    raise NotPresentable("elimination failed to remove a generator")
-            new_terms[tuple(plucked)] = c
-        return RingElement(new_ring, new_terms)
-
-    new_ts = []
-    for t in pres.ts:
-        tq = project(t)
-        if tq.is_zero():
-            raise TiInIdeal("some t_i lies in the ideal; the quotient is not a GWA")
-        new_ts.append(tq)
-    new_phis = []
-    for phi in pres.phis:
-        images = {g: project(phi.images[g]) for g in keep}
-        inverse = {g: project(phi.inverse_images[g]) for g in keep}
-        new_phis.append(Automorphism(new_ring, images, inverse))
-    out = GwaPresentation(new_ring, new_phis, new_ts, pres.x_names, pres.y_names)
-    out.meta["quotient_of"] = pres
-    return out
-
-
-def _elimination_shape(ring, w: RingElement, eliminated):
-    """(name, value) when w = unit*name + rest with rest free of name, name not
-    Laurent and not already eliminated; None otherwise."""
-    for g in ring.gens:
-        if g in eliminated or ring.laurent[ring.index(g)]:
-            continue
-        i = ring.index(g)
-        if any(e[i] not in (0, 1) for e in w.terms):
-            continue
-        lin = w.coefficient_of(g, 1)
-        c = lin.as_scalar()
-        if c is None or c.is_zero():
-            continue
-        rest = RingElement(ring, {e: cc for e, cc in w.terms.items() if e[i] == 0})
-        if rest.involves(g):
-            continue
-        return g, rest * (-c.inv())
-    return None
 
 
 # ---------------------------------------------------------------------------

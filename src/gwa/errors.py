@@ -53,14 +53,6 @@ class NotPhiStable(GwaError):
     pass
 
 
-class TiInIdeal(GwaError):
-    pass
-
-
-class NotPresentable(GwaError):
-    pass
-
-
 class NotAWhittakerPair(GwaError):
     pass
 

@@ -5,12 +5,16 @@ implementation (degrevlex, with cofactor tracking so every membership answer
 carries a certificate).  It skips S-pairs by Buchberger's product and chain
 criteria.  A `PhiStableIdeal` stores its reduced basis, and membership
 reduces against that basis directly, so a query runs no Groebner computation.
-Laurent rings are treated through their polynomial part: exponents are
-shifted to be nonnegative, and an ideal is stored as the reduced basis of its
-saturation by the Laurent generators, computed exactly by the Rabinowitsch
-trick.  So membership is exact there too, and equal ideals have equal bases.
-`PhiStableIdeal.reduce` gives the canonical residue of an element modulo the
-ideal, negative exponents included, from the same Rabinowitsch extension.
+There is one elimination ring, `_EliminationRing`: a kept and an eliminated
+block of variables in a block order.  Laurent rings are treated through their
+polynomial part: exponents are shifted to be nonnegative, and an ideal is
+stored as the reduced basis of its saturation by the Laurent generators,
+computed exactly in that ring by the Rabinowitsch trick (each K^-1 becomes an
+eliminated u_K).  So membership is exact there too, and equal ideals have
+equal bases.  `PhiStableIdeal.reduce` gives the canonical residue of an
+element modulo the ideal, negative exponents included, from the same
+extension.  `is_centrally_generated` computes J cap R^phi exactly in the same
+ring, with tags for the invariants kept and everything else eliminated.
 """
 
 from __future__ import annotations
@@ -19,15 +23,8 @@ import heapq
 from dataclasses import dataclass, field as dc_field
 from operator import add, le, sub
 
-from .errors import (
-    ClosureBudgetExceeded,
-    InternalConsistencyError,
-    NotPhiStable,
-    UnsupportedFamily,
-    UnsupportedRing,
-)
+from .errors import ClosureBudgetExceeded, InternalConsistencyError, NotPhiStable, UnsupportedRing
 from .field import element_order
-from .linalg import linear_combination, linear_relations
 from .ring import Automorphism, BaseRing, RingElement, affine_shape, fixed_subring_generators
 
 
@@ -44,26 +41,38 @@ def _heap_key(exps):
     return (-sum(exps), exps[::-1])
 
 
-class _RabinowitschRing(BaseRing):
-    """ring[u_K], one u_K per Laurent generator K of the base ring, ordered by
-    total degree in the u_K, then degrevlex: an elimination order, and degrevlex
-    on u-free monomials.  `lift` writes each K^-a of a base element as u_K^a and
-    `lower` maps u_K back to K^-1."""
+class _EliminationRing(BaseRing):
+    """The one block-elimination ring: a kept block of variables, then an
+    eliminated block, ordered by total degree in the eliminated block, then
+    degrevlex.  The elements of a reduced basis free of the eliminated block
+    generate its ideal's intersection with the kept variables' ring (Cox,
+    Little and O'Shea, Ideals, Varieties, and Algorithms, 3.1).
 
-    __slots__ = ("keys", "base", "slots")
+    The variables are a tag y_k per element f_k of `tagged`, the generators of
+    the base ring, then a u_K per Laurent generator K; `lift` writes each K^-a
+    of a base element as u_K^a.  With `tagged` None the kept block is the base
+    generators and the u_K are eliminated, the Rabinowitsch ring of Laurent
+    saturation; `lower` maps u_K back to K^-1.  Otherwise the tags are kept,
+    everything else is eliminated, and `image` maps y_k to f_k."""
 
-    def __init__(self, base: BaseRing):
-        n = len(base.gens)
+    __slots__ = ("keys", "base", "slots", "tagged", "split")
+
+    def __init__(self, base: BaseRing, tagged=None):
         self.base = base
+        self.tagged = tuple(tagged or ())
         self.slots = tuple(i for i, l in enumerate(base.laurent) if l)
-        # longer than every generator name, so no u_K clashes with one
-        inverses = tuple("1/" + "_" * max(map(len, base.gens)) + base.gens[i] for i in self.slots)
-        super().__init__(base.field, base.gens + inverses)
+        # longer than every generator name, so no u_K or y_k clashes with one
+        pad = "_" * max(map(len, base.gens))
+        tags = tuple(f"y{pad}{k}" for k in range(len(self.tagged)))
+        inverses = tuple("1/" + pad + base.gens[i] for i in self.slots)
+        super().__init__(base.field, tags + base.gens + inverses)
+        self.split = n = len(base.gens) if tagged is None else len(tags)
         self.keys = (lambda e: (sum(e[n:]),) + _degrevlex_key(e),
                      lambda e: (-sum(e[n:]),) + _heap_key(e))
 
     def lift(self, r: RingElement) -> RingElement:
-        return RingElement(self, {tuple(max(x, 0) for x in e) + tuple(max(-e[i], 0) for i in self.slots): c
+        pad = (0,) * len(self.tagged)
+        return RingElement(self, {pad + tuple(max(x, 0) for x in e) + tuple(max(-e[i], 0) for i in self.slots): c
                                   for e, c in r.terms.items()})
 
     def lower(self, r: RingElement) -> RingElement:
@@ -77,12 +86,31 @@ class _RabinowitschRing(BaseRing):
             out[low] = out[low] + c if low in out else c
         return RingElement(self.base, {e: c for e, c in out.items() if not c.is_zero()})
 
+    def image(self, r: RingElement) -> RingElement:
+        """r(f_1, ..., f_m) for r in the tags alone."""
+        out = self.base.zero()
+        for e, c in r.terms.items():
+            term = self.base.scalar(c)
+            for f, a in zip(self.tagged, e):
+                if a:
+                    term = term * f ** a
+            out = out + term
+        return out
+
     def basis(self, polys, track: bool):
-        """Reduced basis of the lifted polys and K*u_K - 1 per Laurent generator
-        K, with transforms as in `groebner_basis` (the polys first)."""
-        relations = [self.gen(self.gens[i]) * self.gen(u) - self.one()
-                     for i, u in zip(self.slots, self.gens[len(self.base.gens):])]
+        """Reduced basis of the lifted polys, K*u_K - 1 per Laurent generator K
+        and f_k - y_k per tag, with transforms as in `groebner_basis` (the
+        polys first)."""
+        m = len(self.tagged)
+        relations = [self.gen(self.gens[m + i]) * self.gen(u) - self.one()
+                     for i, u in zip(self.slots, self.gens[m + len(self.base.gens):])]
+        relations += [self.lift(f) - self.gen(y) for f, y in zip(self.tagged, self.gens)]
         return groebner_basis([self.lift(g) for g in polys] + relations, track)
+
+    def kept(self, basis) -> list:
+        """The indices of the basis elements free of the eliminated block."""
+        n = self.split
+        return [i for i, b in enumerate(basis) if not any(any(e[n:]) for e in b.terms)]
 
 
 def _keys(ring):
@@ -198,7 +226,7 @@ def _combine(track, cof, tracks, indices):
 
 def groebner_basis(gens, track: bool = True):
     """Reduced Groebner basis of the input polynomials, monic and sorted by
-    leading monomial, in degrevlex (a `_RabinowitschRing` brings its own order).
+    leading monomial, in degrevlex (an `_EliminationRing` brings its own order).
 
     Returns (basis, transforms): basis[i] = sum_j transforms[i][j]*gens[j] over
     the nonzero gens.  transforms is None when track is false.  Pairs pop LIFO;
@@ -290,10 +318,9 @@ def _saturated_basis(gens, track: bool):
     ring = cleared[0].ring if cleared else None
     if ring is None or not any(ring.laurent):
         return groebner_basis(cleared, track)
-    ext = _RabinowitschRing(ring)
-    n = len(ring.gens)
+    ext = _EliminationRing(ring)
     basis, transforms = ext.basis(cleared, track)
-    keep = [i for i, b in enumerate(basis) if not any(any(e[n:]) for e in b.terms)]
+    keep = ext.kept(basis)
     out = [ext.lower(basis[i]) for i in keep]
     if not track:
         return out, None
@@ -354,7 +381,7 @@ class PhiStableIdeal:
         if all(x >= 0 for e in r.terms for x in e):
             return normal_form(r, self._divisors)
         if self._extension is None:
-            ext = _RabinowitschRing(self.ring)
+            ext = _EliminationRing(self.ring)
             self._extension = ext, _divisors(ext.basis(self.generators, track=False)[0])
         ext, divisors = self._extension
         return ext.lower(normal_form(ext.lift(r), divisors))
@@ -459,13 +486,17 @@ def _certified(ring: BaseRing, phis, basis) -> PhiStableIdeal:
     return J
 
 
-def phi_stable_closure(generators, phis, cap: int = 64) -> PhiStableIdeal:
+# rounds of phi_stable_closure; an ascending chain of ideals stabilizes (Noetherianity)
+CLOSURE_ROUNDS = 64
+
+
+def phi_stable_closure(generators, phis) -> PhiStableIdeal:
     """Smallest phi-stable ideal containing the generators."""
     if not generators:
         return PhiStableIdeal(phis[0].ring, phis, [])
     ring = generators[0].ring
     current = _saturated_basis(generators, track=False)[0]
-    for _ in range(cap):
+    for _ in range(CLOSURE_ROUNDS):
         extended = list(current)
         for phi in phis:
             extended.extend(phi.apply(g) for g in current)
@@ -516,8 +547,7 @@ def _all_monic(ring: BaseRing, name: str, degree: int):
     return polys
 
 
-def classify_univariate(phi: Automorphism, degree_bound: int,
-                        algebraically_closed: bool = False) -> ClassificationReport:
+def classify_univariate(phi: Automorphism, degree_bound: int) -> ClassificationReport:
     """Describe all phi-stable ideals of F[t] for phi(t) = alpha t + beta."""
     ring = phi.ring
     name = _univariate_gen(ring)
@@ -611,50 +641,20 @@ def _is_maximal_stable(ring, f, all_gens) -> bool:
 # centrally generated ideals
 
 
-_CENTRAL_FAMILIES = {"smith_char0", "smith_charp", "quantum_smith", "weyl_shift_charp"}
+def is_centrally_generated(J: PhiStableIdeal):
+    """Whether J = R*(J cap R^phi), with the generators of J cap R^phi found.
 
-
-def is_centrally_generated(J: PhiStableIdeal, family: str, degree_slack: int = 2):
-    """Check J = R*(J cap R^phi) and return the central generators.
-
-    Supported for the families where this is a theorem; a failure there is an
-    internal fault, not a mathematical possibility."""
-    if family not in _CENTRAL_FAMILIES:
-        raise UnsupportedFamily(f"no centrally-generated proof on file for {family!r}")
+    The invariants f_k come from `fixed_subring_generators` (UnsupportedFamily
+    outside its shapes).  In the elimination ring with a tag y_k per f_k kept
+    and the rest eliminated, the tag-only part of the reduced basis of J, the
+    K*u_K - 1 and the f_k - y_k generates the preimage of J in F[y] (Cox,
+    Little and O'Shea, Ideals, Varieties, and Algorithms, 3.1 and 7.4), and
+    y_k -> f_k maps it onto generators of J cap R^phi."""
     ring = J.ring
-    field = ring.field
-    invariants = fixed_subring_generators(J.phis)
-    if J.is_zero():
-        return True, []
-    max_deg = max(g.degree() for g in J.generators) + degree_slack
-
-    # candidate products of invariant generators, bounded by total degree
-    candidates = [ring.one()]
-    seen = {_freeze(ring.one())}
-    frontier = [ring.one()]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for inv in invariants:
-                prod = c * inv
-                if prod.degree() <= max_deg and _freeze(prod) not in seen:
-                    seen.add(_freeze(prod))
-                    candidates.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
-
-    # central elements of J: the relations among the candidates' normal forms
-    reduced = [normal_form(c, J.generators).terms for c in candidates]
-    central = []
-    for combo in linear_relations(reduced, field):
-        elt = linear_combination(combo, candidates, ring.zero())
-        if not elt.is_zero():
-            central.append(elt)
-    ok = bool(central) and ideal_equal_gens(ring, central, J.generators)
-    if not ok:
-        raise InternalConsistencyError(
-            f"family {family!r} must be centrally generated; found generators {central!r}")
-    return True, central
+    ext = _EliminationRing(ring, fixed_subring_generators(J.phis))
+    basis = ext.basis(J.generators, track=False)[0]
+    central = [c for c in (ext.image(basis[i]) for i in ext.kept(basis)) if not c.is_zero()]
+    return ideal_equal_gens(ring, central, J.generators), central
 
 
 # ---------------------------------------------------------------------------

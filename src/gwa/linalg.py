@@ -14,8 +14,8 @@ read their answers off the RowSpace of the rows.  payload_relations(images,
 spec) is the relation primitive: the basis of {c : sum_j c_j images[j] = 0},
 the kernel of the matrix whose columns are the images, each a payload row
 keyed by any hashable coordinates; with no nonzero coordinate it is the
-identity basis.  mat_mul, kernel_basis and linear_relations are the
-FieldElement forms: check, compute on payloads, wrap.
+identity basis.  mat_mul and kernel_basis are the FieldElement forms:
+check, compute on payloads, wrap.
 """
 
 from __future__ import annotations
@@ -164,23 +164,6 @@ def kernel_basis(a, spec: FieldSpec):
         raise InvalidParameters("kernel of an empty matrix is ambiguous")
     width = len(a[0])
     return element_rows(payload_kernel(payload_rows(a, spec), spec, width), spec, width)
-
-
-def linear_relations(images, spec: FieldSpec):
-    """Basis of the relations {c : sum_j c_j images[j] = 0}, the images given
-    as vectors of scalars, dense or sparse."""
-    return element_rows(payload_relations([payload_row(image, spec) for image in images], spec),
-                        spec, len(images))
-
-
-def linear_combination(coeffs, elements, zero):
-    """sum_j coeffs[j] elements[j], the element a relation stands for; the
-    elements are ring or algebra elements."""
-    out = zero
-    for c, e in zip(coeffs, elements):
-        if not c.is_zero():
-            out = out + e.scale(c)
-    return out
 
 
 class RowSpace:

@@ -35,7 +35,6 @@ from .linalg import (
     column_rows,
     element_rows,
     inverse_rows,
-    linear_combination,
     mul_rows,
     mul_vec,
     payload_kernel,
@@ -425,8 +424,12 @@ def _element_vector(a: GwaElement, index) -> dict | None:
 
 
 def _combination(vec: dict, elements, zero, field):
-    """linear_combination for a payload row of coefficients."""
-    return linear_combination(element_rows([vec], field, len(elements))[0], elements, zero)
+    """sum_j vec[j] elements[j] for a payload row of coefficients; the
+    elements are ring or algebra elements."""
+    out = zero
+    for j, x in sorted(vec.items()):
+        out = out + elements[j].scale(FieldElement(field, x))
+    return out
 
 
 def _first_outside(span: RowSpace, vectors) -> dict | None:
@@ -496,6 +499,12 @@ class TruncatedIdealCheck:
     witness: GwaElement | None = None
 
 
+# the truncated span collects products of degree <= degree + SPAN_SLACK; the
+# symbolic ann_V_check samples ring monomials of degree <= degree + SAMPLE_EXTRA
+SPAN_SLACK = 2
+SAMPLE_EXTRA = 3
+
+
 def _truncated_left_span(pres, gens, index, degree, slack, kernel_dim):
     """Row space of the degree-<=degree part of sum_j A g_j, inside the index.
 
@@ -549,7 +558,7 @@ def _truncated_left_span(pres, gens, index, degree, slack, kernel_dim):
     return out
 
 
-def thm43_truncated_check(V: WhittakerModule, degree: int = 4, slack: int = 2) -> TruncatedIdealCheck:
+def thm43_truncated_check(V: WhittakerModule, degree: int = 4) -> TruncatedIdealCheck:
     """Kernel of a -> a.w on normal-form degree <= D equals the truncated span
     of A Q + sum_i A (X_i - zeta_i); each of those generators must first
     annihilate w."""
@@ -568,7 +577,7 @@ def thm43_truncated_check(V: WhittakerModule, degree: int = 4, slack: int = 2) -
     kernel = payload_relations([mul_vec(model.act_rows(a), model.w_row, field.ops)
                                 for a in elements], field)
 
-    span = _truncated_left_span(pres, gens, index, degree, slack, len(kernel))
+    span = _truncated_left_span(pres, gens, index, degree, SPAN_SLACK, len(kernel))
     outside = _first_outside(span, kernel)
     ok = outside is None
     witness = None if ok else _combination(outside, elements, pres.zero(), field)
@@ -582,13 +591,13 @@ def thm43_truncated_check(V: WhittakerModule, degree: int = 4, slack: int = 2) -
     return TruncatedIdealCheck(ok, degree, len(kernel), span.dim, witness)
 
 
-def ann_V_check(V: WhittakerModule, candidate_gens, degree: int = 4,
-                slack: int = 2, sample_degree: int | None = None) -> TruncatedIdealCheck:
+def ann_V_check(V: WhittakerModule, candidate_gens, degree: int = 4) -> TruncatedIdealCheck:
     """Verify Ann_A(V) = sum_j A g_j at truncation `degree`.
 
     Every candidate generator must annihilate the module, and every element of
     normal-form degree <= degree that annihilates it must lie in the truncated
-    left span of the candidates."""
+    left span of the candidates.  On a symbolic module the kernel is sampled
+    on the residues of the ring monomials of degree <= degree + SAMPLE_EXTRA."""
     pres = V.pres
     field = pres.ring.field
     basis = algebra_basis(pres, degree)
@@ -603,9 +612,8 @@ def ann_V_check(V: WhittakerModule, candidate_gens, degree: int = 4,
         kernel = payload_relations([{(i, j): x for i, row in enumerate(model.act_rows(a))
                                      for j, x in row.items()} for a in elements], field)
     else:
-        sample_degree = degree + 3 if sample_degree is None else sample_degree
         residues = (V.Q.reduce(pres.ring.monomial(m, field.one()))
-                    for m in ring_monomials(pres.ring, sample_degree))
+                    for m in ring_monomials(pres.ring, degree + SAMPLE_EXTRA))
         reps = list(dict.fromkeys(r for r in residues if r))     # distinct, in first-seen order
         for g in candidate_gens:
             for r in reps:
@@ -615,7 +623,7 @@ def ann_V_check(V: WhittakerModule, candidate_gens, degree: int = 4,
                    for e, c in V.act_residue(a, r).terms.items()} for a in elements]
         kernel = payload_relations(images, field)
 
-    span = _truncated_left_span(pres, candidate_gens, index, degree, slack, len(kernel))
+    span = _truncated_left_span(pres, candidate_gens, index, degree, SPAN_SLACK, len(kernel))
     outside = _first_outside(span, kernel)
     if outside is None:
         return TruncatedIdealCheck(True, degree, len(kernel), span.dim)
@@ -624,7 +632,7 @@ def ann_V_check(V: WhittakerModule, candidate_gens, degree: int = 4,
         # mismatch here cannot be blamed on the candidates
         raise TruncationTooSmall(
             f"an apparent annihilator of degree <= {degree} is outside the "
-            f"truncated span; enlarge the truncation or sample degree")
+            "truncated span; enlarge the truncation")
     return TruncatedIdealCheck(False, degree, len(kernel), span.dim,
                                _combination(outside, elements, pres.zero(), field))
 

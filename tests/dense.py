@@ -2,8 +2,8 @@
 
 These are the plain dense forms of the library's kernels: Gauss-Jordan
 elimination over full-width rows of FieldElement (`DenseRowSpace`, `rref` and
-its callers `rank`, `kernel_basis` and `inverse`), and the FieldElement-level
-products `mat_mul` and `mat_vec`.  They share no code with `gwa.linalg`, so the
+its callers `rank`, `kernel_basis`, `inverse` and `linear_relations`), and the
+FieldElement-level products `mat_mul`, `mat_vec` and `linear_combination`.  They share no code with `gwa.linalg`, so the
 suite compares the payload kernels, and the module verdicts built on them,
 against an independent implementation.  Reduced row echelon form is unique for
 a given span, so the two must agree on every return value, whatever order the
@@ -179,3 +179,25 @@ def inverse(a, spec: FieldSpec):
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in reduced[:n]]
+
+
+def linear_relations(images, spec: FieldSpec):
+    """Basis of the relations {c : sum_j c_j images[j] = 0}: the kernel_basis
+    of the matrix whose columns are the images, each a vector of scalars given
+    dense or as a sparse dict keyed by any hashable coordinates.  With no
+    coordinate every coefficient is free."""
+    columns = [v if isinstance(v, dict) else dict(enumerate(v)) for v in images]
+    keys = list(dict.fromkeys(k for column in columns for k in column))
+    if not keys:
+        return identity(spec, len(images))
+    return kernel_basis([[column.get(k, spec.zero()) for column in columns] for k in keys], spec)
+
+
+def linear_combination(coeffs, elements, zero):
+    """sum_j coeffs[j] elements[j], the element a relation stands for; the
+    elements are ring or algebra elements."""
+    out = zero
+    for c, e in zip(coeffs, elements):
+        if not c.is_zero():
+            out = out + e.scale(c)
+    return out

@@ -13,9 +13,11 @@ from gwa.catalog import (
     uqsl2_equals_quantum_smith,
     verify_family_facts,
 )
-from gwa.core import center_generators, gwa_mul, is_central
+from gwa.core import GwaPresentation, center_generators, gwa_mul, is_central
 from gwa.errors import HypothesisViolated, InvalidParameters, TelescopingUnsolvable
 from gwa.field import cyclotomic_field, prime_field, rational_functions, rationals
+from gwa.ideals import phi_stable_closure
+from gwa.ring import Automorphism, BaseRing
 from gwa.whittaker import is_simple, whittaker_vectors
 
 Q = rationals()
@@ -240,6 +242,35 @@ def test_smith_weyl_correspondence():
 def test_verify_family_facts_weyl():
     report = verify_family_facts(FamilySpec("weyl", Q, {"n": 1}))
     assert report.all_green, report.failures()
+    assert [c.cid for c in report.claims] == ["center", "no_proper_ideals"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_weyl_closures_of_monomials_reach_one(n):
+    # what the no_proper_ideals hypotheses imply: the stable closure of each
+    # t_i^d, d <= 3, is the unit ideal
+    pres = build_family(FamilySpec("weyl", Q, {"n": n}))
+    assert gwa.catalog._only_shifts(pres)
+    for name in pres.ring.gens:
+        for d in range(1, 4):
+            assert phi_stable_closure([pres.ring.gen(name) ** d], pres.phis).is_unit()
+
+
+def test_only_shifts_rejects_other_shapes():
+    # a shift by c, a shift in characteristic p, and a scaling all allow
+    # proper stable ideals, so the hypotheses must fail on each
+    F5 = prime_field(5)
+    assert not gwa.catalog._only_shifts(build_family(FamilySpec("heisenberg", Q, {"n": 1})))
+    assert not gwa.catalog._only_shifts(build_family(FamilySpec("weyl", F5, {"n": 1})))
+    assert not gwa.catalog._only_shifts(build_family(FamilySpec(
+        "univariate_affine", Q, {"alpha": Q.from_int(2), "beta": Q.zero()})))
+    # a Weyl presentation with one generator left unmoved: (t2) is stable
+    R = BaseRing(Q, ["t1", "t2"])
+    shift = Automorphism(R, {"t1": R.gen("t1") - R.one(), "t2": R.gen("t2")})
+    pres = GwaPresentation(R, [shift, Automorphism(R, {"t1": R.gen("t1"), "t2": R.gen("t2")})],
+                           [R.gen("t1"), R.gen("t2")])
+    assert not gwa.catalog._only_shifts(pres)
+    assert not phi_stable_closure([R.gen("t2")], pres.phis).is_unit()
 
 
 def test_verify_family_facts_quantum():

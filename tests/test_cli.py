@@ -151,6 +151,22 @@ def test_ideals_stable_check_false_with_witness(config, capsys):
     assert data["witness"]["image"] == "t - 1"
 
 
+def test_ideals_central_smith_char5(config, capsys):
+    path = config(SMITH5)
+    code, out, _ = run(capsys, "--config", path, "--json", "ideals", "central", "c-2,h^5-h-3")
+    assert code == 0
+    assert json.loads(out) == {"centrally_generated": True,
+                               "central_generators": ["c + 3", "h^5 + 4*h + 2"]}
+
+
+def test_ideals_central_needs_a_stable_ideal_exit1(config, capsys):
+    path = config(WEYL1)
+    code, out, err = run(capsys, "--config", path, "--json", "ideals", "central", "t")
+    assert code == 1
+    assert out == ""
+    assert "escapes the ideal" in err
+
+
 def test_ideals_closure_reaches_unit(config, capsys):
     path = config(WEYL1)
     code, out, _ = run(capsys, "--config", path, "--json", "ideals", "closure", "t")
@@ -420,8 +436,8 @@ with open(GOLDEN_CLI) as _fh:
 @pytest.mark.parametrize("case", CLI_CASES,
                          ids=[f"{c['family']}: {' '.join(c['argv'][1:])}" for c in CLI_CASES])
 def test_cli_matches_golden(config, capsys, case):
-    # `family-facts` and `module` outputs over the catalog families: stdout
-    # byte for byte, and the exit code
+    # `family-facts`, `module` and `ideals central` outputs over the catalog
+    # families: stdout byte for byte, and the exit code
     path = config(case["config"])
     code, out, _ = run(capsys, "--config", path, *case["argv"])
     assert code == case["exit"]

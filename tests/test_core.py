@@ -10,10 +10,9 @@ from gwa.core import (
     format_element,
     gwa_mul,
     is_central,
-    quotient_gwa,
     ykxl_collapse,
 )
-from gwa.errors import ExprSyntaxError, InvalidParameters, TiInIdeal, UnknownSymbol
+from gwa.errors import ExprSyntaxError, InvalidParameters, UnknownSymbol
 from gwa.field import cyclotomic_field, prime_field, rational_functions, rationals
 from gwa.parser import _Parser, _tokenize, parse_element
 from gwa.ring import Automorphism, BaseRing
@@ -153,36 +152,6 @@ def test_center_root_of_unity_scaling():
     assert pres.X(0, 4) in report.generators
     t = pres.ring.gen("t")
     assert pres.embed_ring(t ** 4) in report.generators
-
-
-def test_quotient_zero_ideal():
-    pres = weyl1()
-    assert quotient_gwa(pres, []) is pres
-
-
-def test_quotient_eliminates_generator():
-    # F[h, c] with phi(h) = h - 1, phi(c) = c, and t = c*h + 1; kill c - 2
-    R = BaseRing(Q, ["h", "c"])
-    phi = Automorphism(R, {"h": R.gen("h") - R.one(), "c": R.gen("c")})
-    from gwa.core import GwaPresentation
-
-    t = R.gen("c") * R.gen("h") + R.one()
-    pres = GwaPresentation(R, [phi], [t])
-    quo = quotient_gwa(pres, [R.gen("c") - R.from_int(2)])
-    assert quo.ring.gens == ("h",)
-    h = quo.ring.gen("h")
-    assert quo.ts[0] == h * Q.from_int(2) + quo.ring.one()
-    assert quo.phis[0].images["h"] == h - quo.ring.one()
-
-
-def test_quotient_rejects_t_in_ideal():
-    R = BaseRing(Q, ["h", "c"])
-    phi = Automorphism(R, {"h": R.gen("h") - R.one(), "c": R.gen("c")})
-    from gwa.core import GwaPresentation
-
-    pres = GwaPresentation(R, [phi], [R.gen("c")])
-    with pytest.raises(TiInIdeal):
-        quotient_gwa(pres, [R.gen("c")])
 
 
 def test_parse_collapses_to_normal_form():

@@ -3,6 +3,7 @@ import zlib
 
 import pytest
 
+from gwa.catalog import FamilySpec, build_family
 from gwa.errors import NotPhiStable, UnsupportedFamily
 from gwa.field import cyclotomic_field, prime_field, rationals
 from gwa.ideals import (
@@ -260,7 +261,7 @@ def test_centrally_generated_weyl_shift():
     mu = F5.from_int(2)
     gen = t ** 5 - t * beta ** 4 - R.scalar(mu)
     J = phi_stable_ideal(R, [shift], [gen])
-    ok, central = is_centrally_generated(J, "weyl_shift_charp")
+    ok, central = is_centrally_generated(J)
     assert ok
     assert [format_ring_element(c) for c in central] == ["t^5 + 4*t + 3"]
     assert ideal_equal_gens(R, central, [gen])
@@ -271,13 +272,14 @@ def test_centrally_generated_smith_char0():
     phi = Automorphism(R, {"h": R.gen("h") - R.one(), "c": R.gen("c")})
     theta = Q.from_int(3)
     J = phi_stable_ideal(R, [phi], [R.gen("c") - R.scalar(theta)])
-    ok, central = is_centrally_generated(J, "smith_char0")
+    ok, central = is_centrally_generated(J)
     assert ok
-    assert [format_ring_element(c) for c in central] == ["c - 3", "c^2 - 9", "c^3 - 27"]
+    assert [format_ring_element(c) for c in central] == ["c - 3"]
     assert ideal_equal_gens(R, central, [R.gen("c") - R.scalar(theta)])
 
 
 def test_centrally_generated_quantum_smith():
+    # K^-3 is an invariant of its own: it enters the elimination as u_K^3
     F = cyclotomic_field(6)
     q = F.generator()
     R = BaseRing(F, ["c", "K"], [False, True])
@@ -289,18 +291,55 @@ def test_centrally_generated_quantum_smith():
         R.gen("K", -3) - R.scalar(lam ** -3),
     ]
     J = phi_stable_ideal(R, [phi], gens)
-    ok, central = is_centrally_generated(J, "quantum_smith")
+    ok, central = is_centrally_generated(J)
     assert ok
-    assert [format_ring_element(c) for c in central] == [
-        "c - 1", "K^3 - 8", "c^2 - 1", "c*K^3 - 8", "c^3 - 1", "c^2*K^3 - 8", "c^4 - 1", "c^5 - 1"]
+    assert [format_ring_element(c) for c in central] == ["K^-3 - 1/8", "K^3 - 8", "c - 1"]
+    assert ideal_equal_gens(R, central, gens)
+
+
+def test_centrally_generated_smith_charp_t9_ideal():
+    # the annihilator shape of T9 over F_5: (c - theta, (h^5 - h) - mu)
+    F5 = prime_field(5)
+    pres = build_family(FamilySpec("smith", F5, {"s": [F5.zero(), F5.from_int(2)]}))
+    R = pres.ring
+    h, c = R.gen("h"), R.gen("c")
+    gens = [c - R.from_int(2), h ** 5 - h - R.from_int(3)]
+    J = phi_stable_ideal(R, pres.phis, gens)
+    ok, central = is_centrally_generated(J)
+    assert ok
+    assert [format_ring_element(g) for g in central] == ["c + 3", "h^5 + 4*h + 2"]
+    assert ideal_equal_gens(R, central, gens)
+
+
+def test_not_centrally_generated():
+    # doubling on Q[t] fixes only the constants, so (t) meets R^phi in 0
+    R = univariate()
+    doubling = Automorphism(R, {"t": R.gen("t") * Q.from_int(2)})
+    assert is_centrally_generated(phi_stable_ideal(R, [doubling], [R.gen("t")])) == (False, [])
+    # x -> -x on Q[x, z]: (x) meets Q[x^2, z] in (x^2), which generates less than (x)
+    S = BaseRing(Q, ["x", "z"])
+    sign = Automorphism(S, {"x": -S.gen("x"), "z": S.gen("z")})
+    ok, central = is_centrally_generated(phi_stable_ideal(S, [sign], [S.gen("x")]))
+    assert not ok
+    assert [format_ring_element(g) for g in central] == ["x^2"]
+
+
+def test_centrally_generated_zero_and_unit_ideals():
+    R = univariate()
+    doubling = Automorphism(R, {"t": R.gen("t") * Q.from_int(2)})
+    assert is_centrally_generated(phi_stable_ideal(R, [doubling], [])) == (True, [])
+    assert is_centrally_generated(phi_stable_ideal(R, [doubling], [R.gen("t") + R.one(), R.gen("t")])) == \
+        (True, [R.one()])
 
 
 def test_centrally_generated_unsupported_family():
+    # the invariants of two automorphisms moving one generator are not on file
     R = univariate()
     doubling = Automorphism(R, {"t": R.gen("t") * Q.from_int(2)})
-    J = phi_stable_ideal(R, [doubling], [R.gen("t")])
+    tripling = Automorphism(R, {"t": R.gen("t") * Q.from_int(3)})
+    J = phi_stable_ideal(R, [doubling, tripling], [R.gen("t")])
     with pytest.raises(UnsupportedFamily):
-        is_centrally_generated(J, "nonsense")
+        is_centrally_generated(J)
 
 
 @pytest.mark.parametrize("p, f, expected", [
@@ -693,3 +732,55 @@ def test_reduce_is_the_canonical_residue(name):
             a, b = rng.choice(pool), rng.choice(pool)
             assert J.reduce(r * a + s * b) == red * a + J.reduce(s) * b
     assert seen == {True, False}
+
+
+INVARIANT_CASES = {
+    # name: (the generators of Q[x, z] one automorphism each negates, the
+    # power of each generator that is invariant)
+    "x -> -x": (["x"], [2, 1]),
+    "x -> -x, z -> -z": (["x", "z"], [2, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_CASES))
+def test_central_intersection_matches_sympy(name):
+    # sympy's route: J + (f_k - y_k) in lex with x, z first, keep the y-only
+    # part, then its grevlex basis; the library's list, pulled back along
+    # y_k -> f_k (a power of one variable each), must equal it
+    sympy = pytest.importorskip("sympy")
+    negated, degrees = INVARIANT_CASES[name]
+    ring = BaseRing(Q, ["x", "z"])
+    phis = [Automorphism(ring, {g: -ring.gen(g) if g == n else ring.gen(g) for g in ring.gens})
+            for n in negated]
+    syms, to_sympy, _ = _sympy_forms(sympy, ring)
+    tags = sympy.symbols("y0 y1")
+
+    def pulled_back(r):
+        # x^(d0 a) z^(d1 b) -> y0^a y1^b
+        return sum(sympy.Rational(c.as_fraction().numerator, c.as_fraction().denominator)
+                   * sympy.Mul(*[y ** (e // d) for y, e, d in zip(tags, exps, degrees)])
+                   for exps, c in r.terms.items())
+
+    def frozen(poly):
+        return frozenset(sympy.Poly(poly, *tags, domain="QQ").monic().as_dict().items())
+
+    rng = random.Random(zlib.crc32(("central " + name).encode()))
+    verdicts = set()
+    for _ in range(6):
+        seeds = [random_ring_element(rng, ring, 2, 3) for _ in range(rng.randint(1, 2))]
+        J = phi_stable_closure([g for g in seeds if not g.is_zero()] or [ring.gen("x")], phis)
+        ok, central = is_centrally_generated(J)
+        invariants = [s ** d for s, d in zip(syms, degrees)]
+        lex = sympy.groebner([to_sympy(g) for g in J.generators]
+                             + [f - y for f, y in zip(invariants, tags)], *syms, *tags, order="lex")
+        kept = [e for e in lex.exprs if not e.has(*syms)]
+        expected = sympy.groebner(kept, *tags, order="grevlex").exprs if kept else []
+        assert {frozen(pulled_back(g)) for g in central} == {frozen(e) for e in expected}, J
+        # the verdict: R * (J cap R^phi) = J, decided by sympy's grevlex bases
+        images = [e.subs(dict(zip(tags, invariants)), simultaneous=True) for e in expected]
+        same = (sympy.groebner(images, *syms, order="grevlex").exprs if images else []) == \
+            (sympy.groebner([to_sympy(g) for g in J.generators], *syms, order="grevlex").exprs
+             if J.generators else [])
+        assert ok == same, J
+        verdicts.add(ok)
+    assert verdicts == {True, False}, "the seeds should give both verdicts"

@@ -2,10 +2,9 @@
 
 import json
 
-from gwa.catalog import FamilySpec, TheoremModuleSpec, build_family, build_theorem_module, eval_poly
+from gwa.catalog import FamilySpec, TheoremModuleSpec, build_family, build_theorem_module
 from gwa.cli import main
-from gwa.core import quotient_gwa
-from gwa.field import prime_field, rationals
+from gwa.field import rationals
 from gwa.ideals import phi_stable_ideal
 from gwa.parser import parse_element
 from gwa.whittaker import ann_V_check, whittaker_vectors
@@ -35,37 +34,6 @@ def test_parse_weyl_a2_names():
     assert elt == pres.scalar(Q.from_int(2))
     mixed = parse_element(pres, "X1*Y2 - Y2*X1")
     assert mixed.is_zero()
-
-
-def test_smith_quotient_example():
-    # killing c - theta turns the Smith algebra into a GWA over F[h] with
-    # t-bar = (theta - r(h+1)) / 2
-    F5 = prime_field(5)
-    theta = F5.from_int(2)
-    pres = build_family(FamilySpec("smith", F5, {"s": [F5.zero(), F5.from_int(2)]}))
-    J = phi_stable_ideal(pres.ring, pres.phis, [pres.ring.gen("c") - pres.ring.scalar(theta)])
-    quo = quotient_gwa(pres, J)
-    assert quo.ring.gens == ("h",)
-    h = quo.ring.gen("h")
-    r = pres.meta["r"]
-    half = F5.from_int(2).inv()
-    r_quo = [c for c in r]
-    expected = (quo.ring.scalar(theta) - eval_poly(r_quo, h + quo.ring.one())) * half
-    assert quo.ts[0] == expected
-
-
-def test_quantum_smith_quotient_is_laurent_gwa():
-    # killing c - theta leaves a GWA over F[K, K^-1]
-    from gwa.field import cyclotomic_field
-
-    Z6 = cyclotomic_field(6)
-    pres = build_family(FamilySpec("quantum_smith", Z6, {"m": 1, "q": Z6.generator()}))
-    J = phi_stable_ideal(pres.ring, pres.phis,
-                         [pres.ring.gen("c") - pres.ring.scalar(Z6.from_int(2))])
-    quo = quotient_gwa(pres, J)
-    assert quo.ring.gens == ("K",)
-    assert quo.ring.laurent == (True,)
-    assert quo.phis[0].images["K"] == quo.ring.gen("K") * (Z6.generator() ** -2)
 
 
 def test_ann_V_symbolic_smith_char0():

@@ -170,7 +170,7 @@ def test_kernels_reject_mixed_fields():
     with pytest.raises(FieldMismatch):
         linalg.kernel_basis([[Q.one(), F5.one()]], Q)
     with pytest.raises(FieldMismatch):
-        linalg.linear_relations([{(0, 1): Q.one()}, {(0, 1): F5.one()}], Q)
+        payload_row({(0, 1): F5.one()}, Q)
 
 
 def test_rowspace_zero_and_empty():
@@ -379,32 +379,31 @@ def test_inverse_matches_dense_reference(spec):
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
-def test_linear_relations_match_dense_kernel(spec):
-    """linear_relations(images) is the kernel_basis of the matrix whose columns
-    are the images, given dense or as sparse dicts with tuple keys."""
+def test_payload_relations_match_dense_kernel(spec):
+    """payload_relations(images) is the kernel_basis of the matrix whose
+    columns are the images, keyed by column index or by sparse tuple keys."""
     for name, a in matrix_cases(spec):
-        expected = dense.kernel_basis(a, spec)
+        expected = payload_rows(dense.kernel_basis(a, spec), spec)
         images = transpose(a)
-        assert linalg.linear_relations(images, spec) == expected, name
-        assert linalg.payload_relations(payload_rows(images, spec), spec) == \
-            payload_rows(expected, spec), name
+        assert linalg.payload_relations(payload_rows(images, spec), spec) == expected, name
         rng = random.Random(zlib.crc32(("relations " + name).encode()))
         keys = [("row", i, i * i) for i in range(len(a))]
         sparse_images = []
         for image in images:
             entries = [(keys[i], x) for i, x in enumerate(image) if not x.is_zero()]
             rng.shuffle(entries)
-            sparse_images.append(dict(entries))
-        assert linalg.linear_relations(sparse_images, spec) == expected, name
+            sparse_images.append(payload_row(dict(entries), spec))
+        assert linalg.payload_relations(sparse_images, spec) == expected, name
+        assert payload_rows(dense.linear_relations(images, spec), spec) == expected, name
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
-def test_linear_relations_without_coordinates(spec):
+def test_payload_relations_without_coordinates(spec):
     """All-zero images leave every coefficient free; no images, no relations."""
     zero = [[spec.zero()] * 3 for _ in range(5)]
-    assert linalg.linear_relations(transpose(zero), spec) == dense.kernel_basis(zero, spec)
-    assert linalg.linear_relations([{}] * 5, spec) == identity(spec, 5)
-    assert linalg.linear_relations([[]] * 5, spec) == identity(spec, 5)
-    assert linalg.linear_relations([{(0, 0): spec.zero()}] * 2, spec) == identity(spec, 2)
-    assert linalg.linear_relations([], spec) == dense.kernel_basis([[]], spec) == []
-
+    assert linalg.payload_relations(payload_rows(transpose(zero), spec), spec) == \
+        payload_rows(dense.kernel_basis(zero, spec), spec) == payload_rows(identity(spec, 3), spec)
+    assert linalg.payload_relations([{}] * 5, spec) == payload_rows(identity(spec, 5), spec)
+    assert dense.linear_relations([[]] * 5, spec) == identity(spec, 5)
+    assert dense.linear_relations([{(0, 0): spec.zero()}] * 2, spec) == identity(spec, 2)
+    assert linalg.payload_relations([], spec) == dense.linear_relations([], spec) == []

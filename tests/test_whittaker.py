@@ -22,7 +22,7 @@ from gwa.core import GwaPresentation, gwa_mul
 from gwa.errors import FieldMismatch, InvalidParameters, NotAWhittakerPair, NotPhiStable, UnsupportedRing
 from gwa.field import cyclotomic_field, prime_field, rational_functions, rationals
 from gwa.ideals import ideal_equal_gens, phi_stable_ideal
-from gwa.linalg import RowSpace, element_rows, kernel_basis, linear_combination, linear_relations, zeros
+from gwa.linalg import RowSpace, element_rows, kernel_basis, zeros
 from gwa.ring import Automorphism
 from gwa.whittaker import (
     EndoReport,
@@ -48,7 +48,8 @@ from gwa.whittaker import (
     whittaker_vectors,
 )
 
-from dense import dense_span, inverse, mat_mul, mat_sub, mat_vec, rank, scaled_identity, transpose
+from dense import (dense_span, inverse, linear_combination, linear_relations, mat_mul, mat_sub, mat_vec,
+                   rank, scaled_identity, transpose)
 from util import (
     identity,
     random_gwa_element,
