@@ -50,23 +50,25 @@ class _EliminationRing(BaseRing):
 
     The variables are a tag y_k per element f_k of `tagged`, the generators of
     the base ring, then a u_K per Laurent generator K; `lift` writes each K^-a
-    of a base element as u_K^a.  With `tagged` None the kept block is the base
-    generators and the u_K are eliminated, the Rabinowitsch ring of Laurent
-    saturation; `lower` maps u_K back to K^-1.  Otherwise the tags are kept,
-    everything else is eliminated, and `image` maps y_k to f_k."""
+    of a base element as u_K^a, `lower` maps u_K back to K^-1 in an element
+    free of the tags, and `image` maps y_k to f_k in one of the tags alone.
+    The kept block is the tags, followed by the base generators when
+    `keep_base`; the rest is eliminated.  Laurent saturation keeps the base
+    generators and eliminates the u_K (the Rabinowitsch ring); the central
+    part J cap R^phi keeps only the tags."""
 
     __slots__ = ("keys", "base", "slots", "tagged", "split")
 
-    def __init__(self, base: BaseRing, tagged=None):
+    def __init__(self, base: BaseRing, tagged=(), keep_base=True):
         self.base = base
-        self.tagged = tuple(tagged or ())
+        self.tagged = tuple(tagged)
         self.slots = tuple(i for i, l in enumerate(base.laurent) if l)
         # longer than every generator name, so no u_K or y_k clashes with one
         pad = "_" * max(map(len, base.gens))
         tags = tuple(f"y{pad}{k}" for k in range(len(self.tagged)))
         inverses = tuple("1/" + pad + base.gens[i] for i in self.slots)
         super().__init__(base.field, tags + base.gens + inverses)
-        self.split = n = len(base.gens) if tagged is None else len(tags)
+        self.split = n = len(tags) + (len(base.gens) if keep_base else 0)
         self.keys = (lambda e: (sum(e[n:]),) + _degrevlex_key(e),
                      lambda e: (-sum(e[n:]),) + _heap_key(e))
 
@@ -76,10 +78,11 @@ class _EliminationRing(BaseRing):
                                   for e, c in r.terms.items()})
 
     def lower(self, r: RingElement) -> RingElement:
-        n = len(self.base.gens)
+        m = len(self.tagged)
+        n = m + len(self.base.gens)
         out = {}
         for e, c in r.terms.items():
-            low = list(e[:n])
+            low = list(e[m:n])
             for i, a in zip(self.slots, e[n:]):
                 low[i] -= a
             low = tuple(low)
@@ -651,7 +654,7 @@ def is_centrally_generated(J: PhiStableIdeal):
     Little and O'Shea, Ideals, Varieties, and Algorithms, 3.1 and 7.4), and
     y_k -> f_k maps it onto generators of J cap R^phi."""
     ring = J.ring
-    ext = _EliminationRing(ring, fixed_subring_generators(J.phis))
+    ext = _EliminationRing(ring, fixed_subring_generators(J.phis), keep_base=False)
     basis = ext.basis(J.generators, track=False)[0]
     central = [c for c in (ext.image(basis[i]) for i in ext.kept(basis)) if not c.is_zero()]
     return ideal_equal_gens(ring, central, J.generators), central

@@ -524,13 +524,24 @@ def affine_order(phi: Automorphism):
 
 def fixed_subring_generators(phis) -> list:
     """Generators of the subring fixed by every phi_i, for the shapes the
-    catalog families use (each generator moved by at most one phi_i, with an
-    affine or scaling image).  Raises UnsupportedFamily outside that class."""
+    catalog families use: each phi_i moves at most one generator, no generator
+    is moved by two of them, and each moved image is affine, a*g + b with b free
+    of every moved generator.  Then R is a polynomial ring over the fixed
+    generators in the moved ones, each phi_i acts on its own variable alone,
+    and the fixed ring is generated by the fixed generators and one invariant
+    per moved variable, so the list is complete.  Raises UnsupportedFamily
+    outside that class."""
     if not phis:
         raise UnsupportedFamily("no automorphisms supplied")
     ring = phis[0].ring
     field = ring.field
     p = field.characteristic()
+    moved = []
+    for phi in phis:
+        gs = phi.moved_generators()
+        if len(gs) > 1:
+            raise UnsupportedFamily(f"one automorphism moves {', '.join(gs)}")
+        moved += gs
     out = []
     for g in ring.gens:
         movers = [phi for phi in phis if phi.images[g] != ring.gen(g)]
@@ -544,6 +555,8 @@ def fixed_subring_generators(phis) -> list:
         if shape is None:
             raise UnsupportedFamily(f"image of {g!r} is not affine")
         a, b = shape
+        if any(b.involves(m) for m in moved):
+            raise UnsupportedFamily(f"image of {g!r} involves a moved generator")
         x = ring.gen(g)
         if a.is_one():
             # shift g -> g + b: the fixed part is F in char 0 and F[g^p - b^{p-1} g]

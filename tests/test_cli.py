@@ -167,6 +167,20 @@ def test_ideals_central_needs_a_stable_ideal_exit1(config, capsys):
     assert "escapes the ideal" in err
 
 
+# one automorphism negating both generators: x*z is invariant, but the
+# per-generator invariants x^2 and z^2 miss it
+NEGATE_XZ = {"field": {"field": "Q"}, "ring": {"vars": ["x", "z"], "laurent": [False, False]},
+             "automorphisms": [{"x": "-x", "z": "-z"}], "t": ["x"]}
+
+
+def test_ideals_central_refuses_an_automorphism_moving_two_generators_exit1(config, capsys):
+    path = config(NEGATE_XZ)
+    code, out, err = run(capsys, "--config", path, "--json", "ideals", "central", "x*z")
+    assert code == 1
+    assert out == ""
+    assert "one automorphism moves x, z" in err
+
+
 def test_ideals_closure_reaches_unit(config, capsys):
     path = config(WEYL1)
     code, out, _ = run(capsys, "--config", path, "--json", "ideals", "closure", "t")
@@ -334,6 +348,15 @@ def test_center_command(config, capsys):
     assert data["complete"] is True
     assert "c" in data["generators"]
     assert "X^5" in data["generators"]
+
+
+def test_center_is_partial_when_one_automorphism_moves_two_generators(config, capsys):
+    path = config(NEGATE_XZ)
+    code, out, _ = run(capsys, "--config", path, "--json", "center")
+    assert code == 0
+    data = json.loads(out)
+    assert data["complete"] is False
+    assert data["generators"] == ["X^2", "Y^2"]
 
 
 def test_family_facts_command(config, capsys):

@@ -332,12 +332,29 @@ def test_centrally_generated_zero_and_unit_ideals():
         (True, [R.one()])
 
 
-def test_centrally_generated_unsupported_family():
+def _xz_automorphisms(*images):
+    S = BaseRing(Q, ["x", "z"])
+    x, z = S.gen("x"), S.gen("z")
+    return S, [Automorphism(S, {"x": x, "z": z, **f(x, z)}) for f in images]
+
+
+@pytest.mark.parametrize("images, generator", [
     # the invariants of two automorphisms moving one generator are not on file
-    R = univariate()
-    doubling = Automorphism(R, {"t": R.gen("t") * Q.from_int(2)})
-    tripling = Automorphism(R, {"t": R.gen("t") * Q.from_int(3)})
-    J = phi_stable_ideal(R, [doubling, tripling], [R.gen("t")])
+    ((lambda x, z: {"x": x * x.ring.from_int(2)}, lambda x, z: {"x": x * x.ring.from_int(3)}),
+     lambda x, z: x),
+    # one automorphism moving both generators: x*z is invariant, but the
+    # per-generator invariants x^2 and z^2 miss it
+    ((lambda x, z: {"x": -x, "z": -z},), lambda x, z: x * z),
+    # in characteristic 0 the per-generator invariants of two shifts are
+    # none, and x - z is missed
+    ((lambda x, z: {"x": x + x.ring.one(), "z": z + z.ring.one()},), lambda x, z: x - z),
+    # the image of x involves z, which another automorphism moves
+    ((lambda x, z: {"x": z ** 2 - x}, lambda x, z: {"z": -z}),
+     lambda x, z: z ** 2 - x * x.ring.from_int(2)),
+], ids=["two phis move x", "one phi moves x and z", "one phi shifts x and z", "image involves a moved z"])
+def test_centrally_generated_unsupported_family(images, generator):
+    S, phis = _xz_automorphisms(*images)
+    J = phi_stable_ideal(S, phis, [generator(S.gen("x"), S.gen("z"))])
     with pytest.raises(UnsupportedFamily):
         is_centrally_generated(J)
 

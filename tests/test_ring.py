@@ -3,9 +3,10 @@ import zlib
 
 import pytest
 
-from gwa.errors import InvalidParameters, NonCommutingAutomorphisms, RingMismatch
+from gwa.errors import InvalidParameters, NonCommutingAutomorphisms, RingMismatch, UnsupportedFamily
 from gwa.field import cyclotomic_field, prime_field, rational_functions, rationals
 from gwa.catalog import FamilySpec, build_family
+from gwa.parser import parse_ring_element
 from gwa.ring import (
     APPLY_CACHE_SIZE,
     Automorphism,
@@ -204,6 +205,28 @@ def test_fixed_subring_weyl_char0_empty():
     phi1 = shift_auto(R, "t1", -R.one())
     phi2 = shift_auto(R, "t2", -R.one())
     assert fixed_subring_generators([phi1, phi2]) == []
+
+
+def test_fixed_subring_heisenberg_shift_by_a_fixed_generator():
+    # t -> t - c with c fixed: F[c] in characteristic 0, F[c, t^p - c^(p-1) t] in p
+    for field, expected in [(Q, ["c"]), (prime_field(5), ["c", "t^5-c^4*t"])]:
+        pres = build_family(FamilySpec("heisenberg", field, {"n": 1}))
+        assert fixed_subring_generators(pres.phis) == \
+            [parse_ring_element(pres.ring, f) for f in expected]
+
+
+@pytest.mark.parametrize("images", [
+    ({"x": "-x", "z": "-z"},),
+    ({"x": "x+1", "z": "z+1"},),
+    ({"x": "z^2-x"}, {"z": "-z"}),
+    ({"x": "2*x"}, {"x": "3*x"}),
+], ids=["one phi moves two", "one phi shifts two", "image involves a moved generator",
+        "two phis move one"])
+def test_fixed_subring_refuses_shapes_it_cannot_complete(images):
+    R = BaseRing(Q, ["x", "z"])
+    phis = [Automorphism(R, {g: parse_ring_element(R, img.get(g, g)) for g in R.gens}) for img in images]
+    with pytest.raises(UnsupportedFamily):
+        fixed_subring_generators(phis)
 
 
 def test_ring_mismatch():
